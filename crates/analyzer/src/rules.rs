@@ -65,10 +65,6 @@ pub enum RuleId {
     /// parallel or hash-ordered iterator) reachable from a determinism
     /// root.
     Dt05UnorderedReduction,
-    /// A function declared `det_banned` (e.g. the f32 batched-inference
-    /// entry points) has become transitively reachable from a declared
-    /// determinism root.
-    Dt06BannedReachable,
     /// `static mut` or a non-`OnceLock` lazy static in the fleet/missions
     /// worker paths.
     Cc01MutableGlobal,
@@ -99,7 +95,6 @@ impl RuleId {
             RuleId::Tb01RawToSink => "TB01",
             RuleId::Dt04ReachableUnordered => "DT04",
             RuleId::Dt05UnorderedReduction => "DT05",
-            RuleId::Dt06BannedReachable => "DT06",
             RuleId::Cc01MutableGlobal => "CC01",
             RuleId::Cc02LockAcrossCallback => "CC02",
             RuleId::Bm01StaleBoundary => "BM01",
@@ -108,7 +103,7 @@ impl RuleId {
 
     /// Parses a short id (`"PF01"`), case-sensitively.
     pub fn parse(s: &str) -> Option<RuleId> {
-        const ALL: [RuleId; 19] = [
+        const ALL: [RuleId; 18] = [
             RuleId::Dt01WallClock,
             RuleId::Dt02AmbientRng,
             RuleId::Dt03UnorderedCollection,
@@ -124,7 +119,6 @@ impl RuleId {
             RuleId::Tb01RawToSink,
             RuleId::Dt04ReachableUnordered,
             RuleId::Dt05UnorderedReduction,
-            RuleId::Dt06BannedReachable,
             RuleId::Cc01MutableGlobal,
             RuleId::Cc02LockAcrossCallback,
             RuleId::Bm01StaleBoundary,

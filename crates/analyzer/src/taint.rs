@@ -54,10 +54,6 @@ pub enum BoundaryKind {
     SinkCtor,
     /// A determinism root for DT04/DT05 reachability.
     DetRoot,
-    /// A function determinism roots must never reach (DT06) — e.g. the
-    /// f32 batched-inference entry points whose results are not
-    /// bit-identical to the streaming path.
-    DetBanned,
     /// A concurrency-sensitive root for CC01/CC02 reachability.
     WorkerRoot,
     /// A crate whose every file is a worker path.
@@ -65,6 +61,18 @@ pub enum BoundaryKind {
 }
 
 impl BoundaryKind {
+    /// Every kind, in manifest-documentation order: the single list both
+    /// [`BoundaryKind::parse`] and the unknown-kind diagnostic read.
+    const ALL: [BoundaryKind; 7] = [
+        BoundaryKind::Raw,
+        BoundaryKind::Boundary,
+        BoundaryKind::Sink,
+        BoundaryKind::SinkCtor,
+        BoundaryKind::DetRoot,
+        BoundaryKind::WorkerRoot,
+        BoundaryKind::WorkerCrate,
+    ];
+
     fn as_str(self) -> &'static str {
         match self {
             BoundaryKind::Raw => "raw",
@@ -72,25 +80,13 @@ impl BoundaryKind {
             BoundaryKind::Sink => "sink",
             BoundaryKind::SinkCtor => "sink_ctor",
             BoundaryKind::DetRoot => "det_root",
-            BoundaryKind::DetBanned => "det_banned",
             BoundaryKind::WorkerRoot => "worker_root",
             BoundaryKind::WorkerCrate => "worker_crate",
         }
     }
 
     fn parse(s: &str) -> Option<BoundaryKind> {
-        [
-            BoundaryKind::Raw,
-            BoundaryKind::Boundary,
-            BoundaryKind::Sink,
-            BoundaryKind::SinkCtor,
-            BoundaryKind::DetRoot,
-            BoundaryKind::DetBanned,
-            BoundaryKind::WorkerRoot,
-            BoundaryKind::WorkerCrate,
-        ]
-        .into_iter()
-        .find(|k| k.as_str() == s)
+        Self::ALL.into_iter().find(|k| k.as_str() == s)
     }
 }
 
@@ -129,8 +125,9 @@ pub struct Boundaries {
 }
 
 impl Boundaries {
-    /// Parses a manifest. Returns `Err` with one message per malformed
-    /// line; blank lines and `#` comments are skipped.
+    /// Parses a manifest. Returns `Err` with one `path:line: message`
+    /// diagnostic per malformed line; blank lines and `#` comments are
+    /// skipped.
     pub fn parse(path: &str, text: &str) -> Result<Boundaries, Vec<String>> {
         let mut entries = Vec::new();
         let mut errors = Vec::new();
@@ -142,7 +139,7 @@ impl Boundaries {
             }
             match parse_entry(line, line_no) {
                 Ok(e) => entries.push(e),
-                Err(msg) => errors.push(format!("boundaries line {line_no}: {msg}")),
+                Err(msg) => errors.push(format!("{path}:{line_no}: {msg}")),
             }
         }
         if errors.is_empty() {
@@ -173,10 +170,8 @@ fn parse_entry(line: &str, line_no: u32) -> Result<BoundaryEntry, String> {
         .split_once(char::is_whitespace)
         .ok_or("expected `<kind> <target>`")?;
     let kind = BoundaryKind::parse(kind_str).ok_or_else(|| {
-        format!(
-            "unknown entry kind `{kind_str}` (expected raw, boundary, sink, sink_ctor, \
-             det_root, det_banned, worker_root or worker_crate)"
-        )
+        let known: Vec<&str> = BoundaryKind::ALL.iter().map(|k| k.as_str()).collect();
+        format!("unknown entry kind `{kind_str}` (expected one of: {})", known.join(", "))
     })?;
     let target = target.trim();
     if target.is_empty() {
@@ -406,36 +401,6 @@ fn determinism_reach(index: &SymbolIndex, b: &Boundaries, findings: &mut Vec<Fin
             unordered_reduction_at(index, f, fi, i, has_hash, root_name, findings);
         }
     }
-    // DT06: a `det_banned` function (e.g. an f32 batched-inference entry
-    // point) that a determinism root can now reach. The ban is the whole
-    // point of the entry: these functions are *expected* to exist and be
-    // called from experiment drivers — they must just never sit under a
-    // fingerprint/replay root.
-    for e in b.of_kind(BoundaryKind::DetBanned) {
-        for bi in index.find_fns(e.owner.as_deref(), &e.name) {
-            let Some(&root) = reach.get(&bi) else { continue };
-            let root_name = roots
-                .iter()
-                .find(|(i, _)| *i == root)
-                .map(|(_, n)| n.as_str())
-                .unwrap_or("?");
-            let f = &index.fns[bi];
-            findings.push(Finding {
-                path: index.files[f.file].rel.clone(),
-                line: f.line,
-                rule: RuleId::Dt06BannedReachable,
-                message: format!(
-                    "`{}` is declared `det_banned` ({}) but is transitively reachable from \
-                     determinism root `{root_name}`; its results are not bit-identical, so \
-                     fingerprints would diverge — remove the call path or re-justify the \
-                     manifest entry in {}",
-                    f.qualified_name(),
-                    e.reason,
-                    b.path,
-                ),
-            });
-        }
-    }
 }
 
 const REDUCTIONS: [&str; 4] = ["sum", "product", "fold", "reduce"];
@@ -658,7 +623,6 @@ fn stale_entries(index: &SymbolIndex, b: &Boundaries, findings: &mut Vec<Finding
             BoundaryKind::Boundary
             | BoundaryKind::Sink
             | BoundaryKind::DetRoot
-            | BoundaryKind::DetBanned
             | BoundaryKind::WorkerRoot => !index.find_fns(e.owner.as_deref(), &e.name).is_empty(),
             BoundaryKind::WorkerCrate => index
                 .files
@@ -843,57 +807,6 @@ impl Trace {
             fs2.iter().all(|f| f.rule != RuleId::Dt05UnorderedReduction),
             "{fs2:?}"
         );
-    }
-
-    #[test]
-    fn dt06_flags_banned_fn_reachable_from_det_root() {
-        let manifest = "\
-det_root Trace::fingerprint -- fingerprint gate
-det_banned Batched::step_f32 -- f32 results are not bit-identical
-";
-        let bad = "\
-pub struct Trace;
-impl Trace {
-    pub fn fingerprint(&self) -> u64 { self.tick_lanes() }
-    fn tick_lanes(&self) -> u64 { self.batched.step_f32(); 0 }
-}
-pub struct Batched;
-impl Batched { pub fn step_f32(&self) {} }
-";
-        let fs = run(&[("crates/fleet/src/b.rs", "fleet", bad)], manifest);
-        let dt06: Vec<&Finding> = fs
-            .iter()
-            .filter(|f| f.rule == RuleId::Dt06BannedReachable)
-            .collect();
-        assert_eq!(dt06.len(), 1, "{fs:?}");
-        assert!(dt06[0].message.contains("Batched::step_f32"), "{}", dt06[0].message);
-        assert!(dt06[0].message.contains("Trace::fingerprint"), "{}", dt06[0].message);
-    }
-
-    #[test]
-    fn dt06_quiet_when_banned_fn_only_called_outside_root_reach() {
-        let manifest = "\
-det_root Trace::fingerprint -- fingerprint gate
-det_banned Batched::step_f32 -- f32 results are not bit-identical
-";
-        // The banned entry point exists and an experiment driver calls
-        // it, but nothing under the determinism root does.
-        let ok = "\
-pub struct Trace;
-impl Trace {
-    pub fn fingerprint(&self) -> u64 { 7 }
-}
-pub struct Batched;
-impl Batched { pub fn step_f32(&self) {} }
-pub fn throughput_experiment(b: &Batched) { b.step_f32(); }
-";
-        let fs = run(&[("crates/fleet/src/b.rs", "fleet", ok)], manifest);
-        assert!(
-            fs.iter().all(|f| f.rule != RuleId::Dt06BannedReachable),
-            "{fs:?}"
-        );
-        // And the entry is not reported stale: the symbol resolves.
-        assert!(fs.iter().all(|f| f.rule != RuleId::Bm01StaleBoundary), "{fs:?}");
     }
 
     #[test]

@@ -189,6 +189,25 @@ fn cli_usage_errors_exit_two() {
 }
 
 #[test]
+fn cli_rejects_unknown_manifest_kind_with_file_line_diagnostic() {
+    let manifest = fixture_path("det_banned.boundaries");
+    let manifest = manifest.to_str().expect("utf8 path");
+    let target = fixture_path("clean.rs");
+    let (code, _, stderr) =
+        run_analyzer(&["--boundaries", manifest, target.to_str().expect("utf8 path")]);
+    assert_eq!(code, Some(2), "a malformed manifest is a usage error: {stderr}");
+    assert!(
+        stderr.contains(&format!("{manifest}:4: unknown entry kind `det_banned`")),
+        "{stderr}"
+    );
+    // The list of accepted kinds comes from the parser's own table, so it
+    // cannot advertise a kind the parser rejects.
+    let (_, expected) = stderr.split_once("(expected one of: ").expect("kind list");
+    assert!(expected.contains("det_root"), "{stderr}");
+    assert!(!expected.contains("det_banned"), "{stderr}");
+}
+
+#[test]
 fn workspace_scan_is_clean() {
     // The repo itself must pass its own gate (with the checked-in
     // allowlist and boundary manifest); this is the CI contract — zero

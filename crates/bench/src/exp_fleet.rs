@@ -37,7 +37,6 @@ mod tests {
             cost_budget: None,
             seed: 11,
             strategy: pidpiper_missions::StrategyKind::Algorithm1,
-            batch: pidpiper_fleet::FleetBatch::Batched,
         };
         let report = run(&cfg);
         assert!(report.gate.passed());

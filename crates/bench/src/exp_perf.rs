@@ -24,9 +24,7 @@
 //! the same states and rows. Before each point is timed, both paths run
 //! the same ticks and every output **and** every LSTM state is compared
 //! with `f64::to_bits` — a divergence panics (nonzero exit from the
-//! binary), so a non-identical kernel can never report a speedup. The
-//! opt-in `f32` mode is timed too, with its measured max-abs error
-//! recorded next to the number it buys.
+//! binary), so a non-identical kernel can never report a speedup.
 
 use crate::harness::{experiments_dir, workspace_root};
 use criterion::{black_box, Criterion};
@@ -37,8 +35,7 @@ use pidpiper_core::FfcModel;
 use pidpiper_math::Vec3;
 use pidpiper_missions::FlightPhase;
 use pidpiper_ml::{
-    BatchPrecision, BatchedStreamingRegressor, LstmRegressor, RegressorConfig, StreamState,
-    StreamingRegressor,
+    BatchedStreamingRegressor, LstmRegressor, RegressorConfig, StreamState, StreamingRegressor,
 };
 use pidpiper_sensors::{EstimatedState, SensorReadings};
 use std::collections::VecDeque;
@@ -117,7 +114,7 @@ pub struct BatchPoint {
 }
 
 /// The `batched` section of [`PerfReport`]: fleet GEMM kernels vs the
-/// per-session streaming loop, plus the opt-in `f32` mode.
+/// per-session streaming loop.
 #[derive(Debug, Clone)]
 pub struct BatchedPerf {
     /// Per-session streaming loop cost, ns per vehicle-tick.
@@ -125,16 +122,11 @@ pub struct BatchedPerf {
     /// Measured points at batch sizes 1 / 16 / 64 / 256, each gated on
     /// `to_bits` equality of outputs and states before timing.
     pub points: Vec<BatchPoint>,
-    /// `f32` mode at batch 64, ns per vehicle-tick.
-    pub f32_ns_per_vehicle_tick: f64,
-    /// Measured max-abs output error of the `f32` mode vs the exact path
-    /// over the gate ticks.
-    pub f32_max_abs_error: f64,
 }
 
 /// Batch sizes the batched section measures.
 const BATCH_POINTS: [usize; 4] = [1, 16, 64, 256];
-/// Lanes in the per-session scalar baseline loop (and the `f32` point).
+/// Lanes in the per-session scalar baseline loop.
 const SCALAR_LANES: usize = 64;
 /// Pre-normalized input rows cycled through the timed loops (prime, so
 /// lanes decorrelate without allocating per tick).
@@ -275,8 +267,8 @@ fn assert_batched_agrees(
     }
 }
 
-/// Runs the batched section: equality gates, scalar baseline, the four
-/// batch points, and the `f32` mode with its measured error envelope.
+/// Runs the batched section: equality gates, scalar baseline and the four
+/// batch points.
 fn run_batched(cfg: &PerfConfig) -> BatchedPerf {
     let set = FeatureSet::FfcPruned;
     let config = RegressorConfig::standard(set.dim(), ActuatorSignal::DIM);
@@ -316,65 +308,9 @@ fn run_batched(cfg: &PerfConfig) -> BatchedPerf {
         });
     }
 
-    // f32 mode at SCALAR_LANES: measured error envelope first, then timed.
-    // The f32 state lives only in the scratch panels (a throughput
-    // experiment, not a checkpointed session), so both twins start from
-    // reset states and evolve over the same rows.
-    let fast = BatchedStreamingRegressor::with_precision(&engine, BatchPrecision::F32);
-    let (pool, _) = batch_fixture(&engine, SCALAR_LANES);
-    let mut scratch = fast.scratch(SCALAR_LANES);
-    let mut exact_scratch = batched.scratch(SCALAR_LANES);
-    let mut exact_states: Vec<StreamState> =
-        (0..SCALAR_LANES).map(|_| engine.state()).collect();
-    let mut exact_out = vec![0.0; SCALAR_LANES * odim];
-    let mut f32_out = vec![0.0; SCALAR_LANES * odim];
-    let mut max_err = 0.0f64;
-    scratch.reset_states();
-    for t in 0..GATE_TICKS {
-        for lane in 0..SCALAR_LANES {
-            scratch.load_row_f32(lane, &pool[(t + lane) % ROW_POOL]);
-        }
-        fast.step_batch_f32(&mut scratch, SCALAR_LANES);
-        fast.finish_batch_f32(&mut scratch, SCALAR_LANES);
-        for lane in 0..SCALAR_LANES {
-            scratch.read_output(lane, &mut f32_out[lane * odim..(lane + 1) * odim]);
-        }
-        batched_ticks(
-            &batched,
-            &mut exact_scratch,
-            &pool,
-            &mut exact_states,
-            &mut exact_out,
-            t,
-            1,
-        );
-        for (a, b) in f32_out.iter().zip(&exact_out) {
-            max_err = max_err.max((a - b).abs());
-        }
-    }
-    let mut f32_ticks = |scratch: &mut pidpiper_ml::BatchScratch, n_ticks: usize| {
-        for t in 0..n_ticks {
-            for lane in 0..SCALAR_LANES {
-                scratch.load_row_f32(lane, &pool[(t + lane) % ROW_POOL]);
-            }
-            fast.step_batch_f32(scratch, SCALAR_LANES);
-            fast.finish_batch_f32(scratch, SCALAR_LANES);
-            for lane in 0..SCALAR_LANES {
-                scratch.read_output(lane, &mut f32_out[lane * odim..(lane + 1) * odim]);
-            }
-            black_box(&mut f32_out);
-        }
-    };
-    f32_ticks(&mut scratch, cfg.warmup.max(1));
-    let t0 = Instant::now();
-    f32_ticks(&mut scratch, ticks);
-    let f32_ns = t0.elapsed().as_nanos() as f64 / (ticks * SCALAR_LANES) as f64;
-
     BatchedPerf {
         scalar_ns_per_vehicle_tick: scalar_ns,
         points,
-        f32_ns_per_vehicle_tick: f32_ns,
-        f32_max_abs_error: max_err,
     }
 }
 
@@ -591,12 +527,7 @@ pub fn to_json(r: &PerfReport) -> String {
             "  \"allocations_per_tick\": {allocs},\n",
             "  \"batched\": {{\n",
             "    \"scalar_ns_per_vehicle_tick\": {scalar_ns:.1},\n",
-            "    \"points\": [\n{points}\n    ],\n",
-            "    \"f32\": {{\n",
-            "      \"batch\": {f32_batch},\n",
-            "      \"ns_per_vehicle_tick\": {f32_ns:.1},\n",
-            "      \"max_abs_error\": {f32_err:e}\n",
-            "    }}\n",
+            "    \"points\": [\n{points}\n    ]\n",
             "  }}\n",
             "}}\n"
         ),
@@ -614,9 +545,6 @@ pub fn to_json(r: &PerfReport) -> String {
         allocs = allocs,
         scalar_ns = r.batched.scalar_ns_per_vehicle_tick,
         points = points,
-        f32_batch = SCALAR_LANES,
-        f32_ns = r.batched.f32_ns_per_vehicle_tick,
-        f32_err = r.batched.f32_max_abs_error,
     )
 }
 
@@ -653,10 +581,6 @@ pub fn write_report(r: &PerfReport) {
             r.batched.scalar_ns_per_vehicle_tick,
         );
     }
-    println!(
-        "exp_perf[f32 batch {}]: {:.0} ns/vehicle-tick, max abs error {:.3e}",
-        SCALAR_LANES, r.batched.f32_ns_per_vehicle_tick, r.batched.f32_max_abs_error,
-    );
 }
 
 /// Criterion-shim entry: per-tick latency of both paths as named benches,
@@ -708,8 +632,6 @@ mod tests {
             assert!(p.speedup_vs_streaming > 0.0);
         }
         assert!(r.batched.scalar_ns_per_vehicle_tick > 0.0);
-        assert!(r.batched.f32_ns_per_vehicle_tick > 0.0);
-        assert!(r.batched.f32_max_abs_error.is_finite());
         let json = to_json(&r);
         assert!(json.contains("\"bench\": \"inference_hot_path\""));
         assert!(json.contains("\"speedup_vs_baseline\""));
@@ -717,7 +639,6 @@ mod tests {
         assert!(json.contains("\"batched\": {"));
         assert!(json.contains("\"scalar_ns_per_vehicle_tick\""));
         assert!(json.contains("\"batch\": 256"));
-        assert!(json.contains("\"max_abs_error\""));
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! Three stages, mirroring the PR-5 perf bench's refuse-to-lie shape:
 //!
 //! 1. **Determinism gate** — a reduced fleet is run four times (1
-//!    worker, several workers, different shard count, and the opposite
-//!    batching mode) and every per-session fingerprint is compared
-//!    bit-for-bit. The bench records the verdict; the `pidpiper-fleet`
-//!    binary exits nonzero on a mismatch and CI's `fleet-smoke` job
-//!    asserts the flags.
+//!    worker, several workers, different shard count, and per-session
+//!    instead of batched inference) and every per-session fingerprint
+//!    is compared bit-for-bit. The bench records the verdict; the
+//!    `pidpiper-fleet` binary exits nonzero on a mismatch and CI's
+//!    `fleet-smoke` job asserts the flags.
 //! 2. **Admission exercise** — the full fleet is submitted with a
 //!    deliberate overflow beyond capacity, so the report always carries
 //!    real queued/rejected/quarantined counts, and a slice of sessions
@@ -26,8 +26,8 @@
 //! `PIDPIPER_FLEET_SHARDS`, `PIDPIPER_FLEET_SHARD_CAPACITY`,
 //! `PIDPIPER_FLEET_PENDING`, `PIDPIPER_FLEET_COST_BUDGET`,
 //! `PIDPIPER_FLEET_STRATEGY` (the recovery strategy every session runs),
-//! `PIDPIPER_FLEET_BATCH` (batched vs per-session inference), and
-//! `PIDPIPER_JOBS` for the worker pool.
+//! and `PIDPIPER_JOBS` for the worker pool. The timed fleet always runs
+//! batched inference.
 
 use std::fs;
 use std::path::PathBuf;
@@ -68,9 +68,6 @@ pub struct FleetBenchConfig {
     /// `spec` / `diagnosis` short aliases; unknown values fall back to
     /// the Algorithm 1 default).
     pub strategy: StrategyKind,
-    /// Inference batching mode (`PIDPIPER_FLEET_BATCH`: `batched` |
-    /// `per-session`; unknown values fall back to the batched default).
-    pub batch: FleetBatch,
 }
 
 impl Default for FleetBenchConfig {
@@ -88,7 +85,6 @@ impl Default for FleetBenchConfig {
             cost_budget: None,
             seed: 2021,
             strategy: StrategyKind::Algorithm1,
-            batch: FleetBatch::default(),
         }
     }
 }
@@ -121,10 +117,6 @@ impl FleetBenchConfig {
             .ok()
             .and_then(|v| StrategyKind::parse(&v))
             .unwrap_or(cfg.strategy);
-        cfg.batch = std::env::var("PIDPIPER_FLEET_BATCH")
-            .ok()
-            .and_then(|v| FleetBatch::parse(&v))
-            .unwrap_or(cfg.batch);
         cfg.workers = configured_jobs();
         cfg
     }
@@ -136,7 +128,7 @@ impl FleetBenchConfig {
             shard_capacity: self.shard_capacity,
             pending_capacity: self.pending_capacity,
             shard_cost_budget: self.cost_budget.unwrap_or(u64::MAX),
-            batch: self.batch,
+            batch: FleetBatch::Batched,
             ..FleetConfig::default()
         };
         config.session.strategy = self.strategy;
@@ -248,9 +240,9 @@ fn fingerprints_match(a: &FleetEngine, b: &FleetEngine) -> bool {
     a.session_fingerprints() == b.session_fingerprints()
 }
 
-/// Runs the reduced determinism gate: the same session mix under
-/// (1 worker), (several workers), (different shard count) and (the
-/// opposite batching mode) must yield bit-identical per-session
+/// Runs the reduced determinism gate: the same batched session mix under
+/// (1 worker), (several workers) and (different shard count), plus the
+/// per-session reference loop, must yield bit-identical per-session
 /// fingerprints, including retirement timing.
 pub fn run_gate(cfg: &FleetBenchConfig) -> DeterminismGate {
     let gate_sessions = cfg.sessions.min(512);
@@ -276,16 +268,10 @@ pub fn run_gate(cfg: &FleetBenchConfig) -> DeterminismGate {
         engine.run_ticks(gate_ticks);
         engine
     };
-    // The batch leg always runs the *opposite* mode of the timed fleet,
-    // so batched == per-session is asserted whichever mode the knob picks.
-    let other = match cfg.batch {
-        FleetBatch::Batched => FleetBatch::PerSession,
-        FleetBatch::PerSession => FleetBatch::Batched,
-    };
-    let serial = build(8, 1, cfg.batch);
-    let parallel = build(8, cfg.workers.clamp(2, 8), cfg.batch);
-    let resharded = build(5, 2, cfg.batch);
-    let rebatched = build(8, 1, other);
+    let serial = build(8, 1, FleetBatch::Batched);
+    let parallel = build(8, cfg.workers.clamp(2, 8), FleetBatch::Batched);
+    let resharded = build(5, 2, FleetBatch::Batched);
+    let rebatched = build(8, 1, FleetBatch::PerSession);
     DeterminismGate {
         gate_sessions,
         gate_ticks,
@@ -467,7 +453,7 @@ pub fn to_json(r: &FleetBenchReport) -> String {
         cost_budget = cost_budget,
         seed = r.cfg.seed,
         strategy = r.cfg.strategy.name(),
-        batch = r.cfg.batch.as_str(),
+        batch = FleetBatch::Batched.as_str(),
         resident = r.resident_sessions,
         runs = runs,
         tps = r.session_ticks_per_sec,
@@ -530,7 +516,7 @@ pub fn write_report(r: &FleetBenchReport) {
         "exp_fleet: {} sessions ({} inference), {} bytes/session; admission {:?}; \
          determinism gate: {}",
         r.resident_sessions,
-        r.cfg.batch.as_str(),
+        FleetBatch::Batched.as_str(),
         r.bytes_per_session,
         r.admission,
         if r.gate.passed() { "PASS" } else { "FAIL" },
@@ -553,7 +539,6 @@ mod tests {
             cost_budget: None,
             seed: 7,
             strategy: StrategyKind::Algorithm1,
-            batch: FleetBatch::Batched,
         }
     }
 

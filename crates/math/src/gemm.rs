@@ -82,343 +82,318 @@ fn lanes_mut<T>(s: &mut [T], base: usize) -> &mut [T; LANES] {
     (&mut s[base..base + LANES]).try_into().expect("LANES-wide view")
 }
 
-macro_rules! gemm_kernels {
-    (
-        $t:ty, $tname:literal,
-        $impl_name:ident, $avx2_name:ident, $avx512_name:ident, $dispatch_name:ident,
-        $bias_name:ident, $acc_name:ident
-    ) => {
-        /// Portable kernel body (monomorphic, `#[inline(always)]` so the
-        /// feature-gated wrappers recompile it under their ISA). `bias`
-        /// selects the store flavour: `Some` writes `bias[r] + acc`,
-        /// `None` performs `out += acc` — both a single rounding step, as
-        /// the reference reductions require.
-        #[allow(clippy::too_many_arguments)] // a GEMM is its shape; a config struct would just rename the arguments
-        #[inline(always)]
-        fn $impl_name(
-            a: &[$t],
-            lda: usize,
-            m: usize,
-            k: usize,
-            bias: Option<&[$t]>,
-            x: &[$t],
-            x_stride: usize,
-            out: &mut [$t],
-            out_stride: usize,
-            n: usize,
-        ) {
-            let mut cc = 0;
-            // Quad-width column tiles first: 4 rows x 32 lanes keeps 16
-            // accumulator vectors in flight (fits AVX-512's 32-register
-            // file), amortizes the four weight broadcasts over 128 MACs
-            // per `j`, and sweeps the weight rows a quarter as often per
-            // active column.
-            while cc + 4 * LANES <= n {
-                let mut r = 0;
-                while r + ROW_BLOCK <= m {
-                    let (b0, b1) = (r * lda, (r + 1) * lda);
-                    let (b2, b3) = ((r + 2) * lda, (r + 3) * lda);
-                    let r0 = &a[b0..b0 + k];
-                    let r1 = &a[b1..b1 + k];
-                    let r2 = &a[b2..b2 + k];
-                    let r3 = &a[b3..b3 + k];
-                    let mut acc = [[0.0 as $t; LANES]; 16];
-                    for j in 0..k {
-                        let base = j * x_stride + cc;
-                        let (w0, w1, w2, w3) = (r0[j], r1[j], r2[j], r3[j]);
-                        for q in 0..4 {
-                            let xq = lanes(x, base + q * LANES);
-                            for l in 0..LANES {
-                                acc[4 * q][l] += w0 * xq[l];
-                                acc[4 * q + 1][l] += w1 * xq[l];
-                                acc[4 * q + 2][l] += w2 * xq[l];
-                                acc[4 * q + 3][l] += w3 * xq[l];
-                            }
-                        }
+/// Portable kernel body (monomorphic, `#[inline(always)]` so the
+/// feature-gated wrappers recompile it under their ISA). `bias`
+/// selects the store flavour: `Some` writes `bias[r] + acc`,
+/// `None` performs `out += acc` — both a single rounding step, as
+/// the reference reductions require.
+#[allow(clippy::too_many_arguments)] // a GEMM is its shape; a config struct would just rename the arguments
+#[inline(always)]
+fn gemm_impl(
+    a: &[f64],
+    lda: usize,
+    m: usize,
+    k: usize,
+    bias: Option<&[f64]>,
+    x: &[f64],
+    x_stride: usize,
+    out: &mut [f64],
+    out_stride: usize,
+    n: usize,
+) {
+    let mut cc = 0;
+    // Quad-width column tiles first: 4 rows x 32 lanes keeps 16
+    // accumulator vectors in flight (fits AVX-512's 32-register
+    // file), amortizes the four weight broadcasts over 128 MACs
+    // per `j`, and sweeps the weight rows a quarter as often per
+    // active column.
+    while cc + 4 * LANES <= n {
+        let mut r = 0;
+        while r + ROW_BLOCK <= m {
+            let (b0, b1) = (r * lda, (r + 1) * lda);
+            let (b2, b3) = ((r + 2) * lda, (r + 3) * lda);
+            let r0 = &a[b0..b0 + k];
+            let r1 = &a[b1..b1 + k];
+            let r2 = &a[b2..b2 + k];
+            let r3 = &a[b3..b3 + k];
+            let mut acc = [[0.0; LANES]; 16];
+            for j in 0..k {
+                let base = j * x_stride + cc;
+                let (w0, w1, w2, w3) = (r0[j], r1[j], r2[j], r3[j]);
+                for q in 0..4 {
+                    let xq = lanes(x, base + q * LANES);
+                    for l in 0..LANES {
+                        acc[4 * q][l] += w0 * xq[l];
+                        acc[4 * q + 1][l] += w1 * xq[l];
+                        acc[4 * q + 2][l] += w2 * xq[l];
+                        acc[4 * q + 3][l] += w3 * xq[l];
                     }
-                    for q in 0..4 {
-                        for i in 0..ROW_BLOCK {
-                            let o = lanes_mut(out, (r + i) * out_stride + cc + q * LANES);
-                            let av = &acc[4 * q + i];
-                            match bias {
-                                Some(b) => {
-                                    let br = b[r + i];
-                                    for l in 0..LANES {
-                                        o[l] = br + av[l];
-                                    }
-                                }
-                                None => {
-                                    for l in 0..LANES {
-                                        o[l] += av[l];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    r += ROW_BLOCK;
                 }
-                while r < m {
-                    let row = &a[r * lda..r * lda + k];
-                    let mut acc = [[0.0 as $t; LANES]; 4];
-                    for (j, &w) in row.iter().enumerate() {
-                        let base = j * x_stride + cc;
-                        for (q, av) in acc.iter_mut().enumerate() {
-                            let xq = lanes(x, base + q * LANES);
-                            for l in 0..LANES {
-                                av[l] += w * xq[l];
-                            }
-                        }
-                    }
-                    for (q, av) in acc.iter().enumerate() {
-                        let o = lanes_mut(out, r * out_stride + cc + q * LANES);
-                        match bias {
-                            Some(b) => {
-                                let br = b[r];
-                                for (o_l, &a_l) in o.iter_mut().zip(av) {
-                                    *o_l = br + a_l;
-                                }
-                            }
-                            None => {
-                                for (o_l, &a_l) in o.iter_mut().zip(av) {
-                                    *o_l += a_l;
-                                }
-                            }
-                        }
-                    }
-                    r += 1;
-                }
-                cc += 4 * LANES;
             }
-            // Single-width column tile for a remaining LANES-wide block.
-            while cc + LANES <= n {
-                let mut r = 0;
-                while r + ROW_BLOCK <= m {
-                    let (b0, b1) = (r * lda, (r + 1) * lda);
-                    let (b2, b3) = ((r + 2) * lda, (r + 3) * lda);
-                    let r0 = &a[b0..b0 + k];
-                    let r1 = &a[b1..b1 + k];
-                    let r2 = &a[b2..b2 + k];
-                    let r3 = &a[b3..b3 + k];
-                    let mut acc0 = [0.0 as $t; LANES];
-                    let mut acc1 = [0.0 as $t; LANES];
-                    let mut acc2 = [0.0 as $t; LANES];
-                    let mut acc3 = [0.0 as $t; LANES];
-                    for j in 0..k {
-                        let xr = lanes(x, j * x_stride + cc);
-                        let (w0, w1, w2, w3) = (r0[j], r1[j], r2[j], r3[j]);
-                        for l in 0..LANES {
-                            acc0[l] += w0 * xr[l];
-                            acc1[l] += w1 * xr[l];
-                            acc2[l] += w2 * xr[l];
-                            acc3[l] += w3 * xr[l];
-                        }
-                    }
-                    for (i, acc) in [&acc0, &acc1, &acc2, &acc3].into_iter().enumerate() {
-                        let o = lanes_mut(out, (r + i) * out_stride + cc);
-                        match bias {
-                            Some(b) => {
-                                let br = b[r + i];
-                                for l in 0..LANES {
-                                    o[l] = br + acc[l];
-                                }
-                            }
-                            None => {
-                                for l in 0..LANES {
-                                    o[l] += acc[l];
-                                }
-                            }
-                        }
-                    }
-                    r += ROW_BLOCK;
-                }
-                while r < m {
-                    let row = &a[r * lda..r * lda + k];
-                    let mut acc = [0.0 as $t; LANES];
-                    for (j, &w) in row.iter().enumerate() {
-                        let xr = lanes(x, j * x_stride + cc);
-                        for (a_l, &x_l) in acc.iter_mut().zip(xr) {
-                            *a_l += w * x_l;
-                        }
-                    }
-                    let o = lanes_mut(out, r * out_stride + cc);
+            for q in 0..4 {
+                for i in 0..ROW_BLOCK {
+                    let o = lanes_mut(out, (r + i) * out_stride + cc + q * LANES);
+                    let av = &acc[4 * q + i];
                     match bias {
                         Some(b) => {
-                            let br = b[r];
-                            for (o_l, &a_l) in o.iter_mut().zip(&acc) {
-                                *o_l = br + a_l;
+                            let br = b[r + i];
+                            for l in 0..LANES {
+                                o[l] = br + av[l];
                             }
                         }
                         None => {
-                            for (o_l, &a_l) in o.iter_mut().zip(&acc) {
-                                *o_l += a_l;
+                            for l in 0..LANES {
+                                o[l] += av[l];
                             }
                         }
                     }
-                    r += 1;
                 }
-                cc += LANES;
             }
-            // Scalar remainder columns (n % LANES).
-            for c in cc..n {
-                for r in 0..m {
-                    let row = &a[r * lda..r * lda + k];
-                    let mut acc = 0.0 as $t;
-                    for (j, &w) in row.iter().enumerate() {
-                        acc += w * x[j * x_stride + c];
-                    }
-                    match bias {
-                        Some(b) => out[r * out_stride + c] = b[r] + acc,
-                        None => out[r * out_stride + c] += acc,
+            r += ROW_BLOCK;
+        }
+        while r < m {
+            let row = &a[r * lda..r * lda + k];
+            let mut acc = [[0.0; LANES]; 4];
+            for (j, &w) in row.iter().enumerate() {
+                let base = j * x_stride + cc;
+                for (q, av) in acc.iter_mut().enumerate() {
+                    let xq = lanes(x, base + q * LANES);
+                    for l in 0..LANES {
+                        av[l] += w * xq[l];
                     }
                 }
             }
-        }
-
-        /// The portable body recompiled with AVX2 enabled (same IEEE ops,
-        /// wider registers).
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx2")]
-        #[allow(clippy::too_many_arguments)]
-        fn $avx2_name(
-            a: &[$t],
-            lda: usize,
-            m: usize,
-            k: usize,
-            bias: Option<&[$t]>,
-            x: &[$t],
-            x_stride: usize,
-            out: &mut [$t],
-            out_stride: usize,
-            n: usize,
-        ) {
-            $impl_name(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
-        }
-
-        /// The portable body recompiled with AVX-512F enabled.
-        #[cfg(target_arch = "x86_64")]
-        #[target_feature(enable = "avx512f")]
-        #[allow(clippy::too_many_arguments)]
-        fn $avx512_name(
-            a: &[$t],
-            lda: usize,
-            m: usize,
-            k: usize,
-            bias: Option<&[$t]>,
-            x: &[$t],
-            x_stride: usize,
-            out: &mut [$t],
-            out_stride: usize,
-            n: usize,
-        ) {
-            $impl_name(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
-        }
-
-        /// Selects the widest ISA variant the running CPU supports.
-        #[allow(clippy::too_many_arguments)]
-        fn $dispatch_name(
-            a: &[$t],
-            lda: usize,
-            m: usize,
-            k: usize,
-            bias: Option<&[$t]>,
-            x: &[$t],
-            x_stride: usize,
-            out: &mut [$t],
-            out_stride: usize,
-            n: usize,
-        ) {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if std::arch::is_x86_feature_detected!("avx512f") {
-                    // SAFETY: the avx512f wrapper only requires the
-                    // AVX-512F target feature, which the runtime check
-                    // just confirmed on this CPU.
-                    return unsafe {
-                        $avx512_name(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
-                    };
-                }
-                if std::arch::is_x86_feature_detected!("avx2") {
-                    // SAFETY: the avx2 wrapper only requires the AVX2
-                    // target feature, which the runtime check just
-                    // confirmed on this CPU.
-                    return unsafe {
-                        $avx2_name(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
-                    };
+            for (q, av) in acc.iter().enumerate() {
+                let o = lanes_mut(out, r * out_stride + cc + q * LANES);
+                match bias {
+                    Some(b) => {
+                        let br = b[r];
+                        for (o_l, &a_l) in o.iter_mut().zip(av) {
+                            *o_l = br + a_l;
+                        }
+                    }
+                    None => {
+                        for (o_l, &a_l) in o.iter_mut().zip(av) {
+                            *o_l += a_l;
+                        }
+                    }
                 }
             }
-            $impl_name(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
+            r += 1;
         }
-
-        #[doc = concat!(
-            "Panel product with bias preload (`", $tname, "`): for every ",
-            "`r < m`, `c < n` sets `out[r * out_stride + c] = bias[r] + ",
-            "Σ_j a[r * lda + j] * x[j * x_stride + c]` (ascending `j`, one ",
-            "accumulator per element — see the module docs for the ",
-            "bit-identity argument)."
-        )]
-        ///
-        /// # Panics
-        ///
-        /// Panics if any slice is too short for the requested shape or if
-        /// `n` exceeds `x_stride` / `out_stride`.
-        #[allow(clippy::too_many_arguments)] // a GEMM is its shape; a config struct would just rename the arguments
-        pub fn $bias_name(
-            a: &[$t],
-            lda: usize,
-            m: usize,
-            k: usize,
-            bias: &[$t],
-            x: &[$t],
-            x_stride: usize,
-            out: &mut [$t],
-            out_stride: usize,
-            n: usize,
-        ) {
-            check_shapes(a.len(), lda, m, k, x.len(), x_stride, out.len(), out_stride, n);
-            assert!(bias.len() >= m, "bias too short: {} < {m}", bias.len());
-            $dispatch_name(a, lda, m, k, Some(bias), x, x_stride, out, out_stride, n)
+        cc += 4 * LANES;
+    }
+    // Single-width column tile for a remaining LANES-wide block.
+    while cc + LANES <= n {
+        let mut r = 0;
+        while r + ROW_BLOCK <= m {
+            let (b0, b1) = (r * lda, (r + 1) * lda);
+            let (b2, b3) = ((r + 2) * lda, (r + 3) * lda);
+            let r0 = &a[b0..b0 + k];
+            let r1 = &a[b1..b1 + k];
+            let r2 = &a[b2..b2 + k];
+            let r3 = &a[b3..b3 + k];
+            let mut acc0 = [0.0; LANES];
+            let mut acc1 = [0.0; LANES];
+            let mut acc2 = [0.0; LANES];
+            let mut acc3 = [0.0; LANES];
+            for j in 0..k {
+                let xr = lanes(x, j * x_stride + cc);
+                let (w0, w1, w2, w3) = (r0[j], r1[j], r2[j], r3[j]);
+                for l in 0..LANES {
+                    acc0[l] += w0 * xr[l];
+                    acc1[l] += w1 * xr[l];
+                    acc2[l] += w2 * xr[l];
+                    acc3[l] += w3 * xr[l];
+                }
+            }
+            for (i, acc) in [&acc0, &acc1, &acc2, &acc3].into_iter().enumerate() {
+                let o = lanes_mut(out, (r + i) * out_stride + cc);
+                match bias {
+                    Some(b) => {
+                        let br = b[r + i];
+                        for l in 0..LANES {
+                            o[l] = br + acc[l];
+                        }
+                    }
+                    None => {
+                        for l in 0..LANES {
+                            o[l] += acc[l];
+                        }
+                    }
+                }
+            }
+            r += ROW_BLOCK;
         }
-
-        #[doc = concat!(
-            "Accumulating panel product (`", $tname, "`): for every ",
-            "`r < m`, `c < n` performs `out[r * out_stride + c] += ",
-            "Σ_j a[r * lda + j] * x[j * x_stride + c]` (ascending `j`, one ",
-            "accumulator per element, added to `out` in a single `+=` — ",
-            "the second accumulator of the fused-LSTM reduction)."
-        )]
-        ///
-        /// # Panics
-        ///
-        /// Panics if any slice is too short for the requested shape or if
-        /// `n` exceeds `x_stride` / `out_stride`.
-        #[allow(clippy::too_many_arguments)] // a GEMM is its shape; a config struct would just rename the arguments
-        pub fn $acc_name(
-            a: &[$t],
-            lda: usize,
-            m: usize,
-            k: usize,
-            x: &[$t],
-            x_stride: usize,
-            out: &mut [$t],
-            out_stride: usize,
-            n: usize,
-        ) {
-            check_shapes(a.len(), lda, m, k, x.len(), x_stride, out.len(), out_stride, n);
-            $dispatch_name(a, lda, m, k, None, x, x_stride, out, out_stride, n)
+        while r < m {
+            let row = &a[r * lda..r * lda + k];
+            let mut acc = [0.0; LANES];
+            for (j, &w) in row.iter().enumerate() {
+                let xr = lanes(x, j * x_stride + cc);
+                for (a_l, &x_l) in acc.iter_mut().zip(xr) {
+                    *a_l += w * x_l;
+                }
+            }
+            let o = lanes_mut(out, r * out_stride + cc);
+            match bias {
+                Some(b) => {
+                    let br = b[r];
+                    for (o_l, &a_l) in o.iter_mut().zip(&acc) {
+                        *o_l = br + a_l;
+                    }
+                }
+                None => {
+                    for (o_l, &a_l) in o.iter_mut().zip(&acc) {
+                        *o_l += a_l;
+                    }
+                }
+            }
+            r += 1;
         }
-    };
+        cc += LANES;
+    }
+    // Scalar remainder columns (n % LANES).
+    for c in cc..n {
+        for r in 0..m {
+            let row = &a[r * lda..r * lda + k];
+            let mut acc = 0.0;
+            for (j, &w) in row.iter().enumerate() {
+                acc += w * x[j * x_stride + c];
+            }
+            match bias {
+                Some(b) => out[r * out_stride + c] = b[r] + acc,
+                None => out[r * out_stride + c] += acc,
+            }
+        }
+    }
 }
 
-gemm_kernels!(
-    f64, "f64",
-    gemm_impl_f64, gemm_avx2_f64, gemm_avx512_f64, gemm_dispatch_f64,
-    gemm_bias, gemm_acc
-);
-gemm_kernels!(
-    f32, "f32",
-    gemm_impl_f32, gemm_avx2_f32, gemm_avx512_f32, gemm_dispatch_f32,
-    gemm_bias_f32, gemm_acc_f32
-);
+/// The portable body recompiled with AVX2 enabled (same IEEE ops,
+/// wider registers).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+fn gemm_avx2(
+    a: &[f64],
+    lda: usize,
+    m: usize,
+    k: usize,
+    bias: Option<&[f64]>,
+    x: &[f64],
+    x_stride: usize,
+    out: &mut [f64],
+    out_stride: usize,
+    n: usize,
+) {
+    gemm_impl(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
+}
+
+/// The portable body recompiled with AVX-512F enabled.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+#[allow(clippy::too_many_arguments)]
+fn gemm_avx512(
+    a: &[f64],
+    lda: usize,
+    m: usize,
+    k: usize,
+    bias: Option<&[f64]>,
+    x: &[f64],
+    x_stride: usize,
+    out: &mut [f64],
+    out_stride: usize,
+    n: usize,
+) {
+    gemm_impl(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
+}
+
+/// Selects the widest ISA variant the running CPU supports.
+#[allow(clippy::too_many_arguments)]
+fn gemm_dispatch(
+    a: &[f64],
+    lda: usize,
+    m: usize,
+    k: usize,
+    bias: Option<&[f64]>,
+    x: &[f64],
+    x_stride: usize,
+    out: &mut [f64],
+    out_stride: usize,
+    n: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        if std::arch::is_x86_feature_detected!("avx512f") {
+            // SAFETY: the avx512f wrapper only requires the
+            // AVX-512F target feature, which the runtime check
+            // just confirmed on this CPU.
+            return unsafe {
+                gemm_avx512(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
+            };
+        }
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: the avx2 wrapper only requires the AVX2
+            // target feature, which the runtime check just
+            // confirmed on this CPU.
+            return unsafe {
+                gemm_avx2(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
+            };
+        }
+    }
+    gemm_impl(a, lda, m, k, bias, x, x_stride, out, out_stride, n)
+}
+
+/// Panel product with bias preload: for every `r < m`, `c < n` sets
+/// `out[r * out_stride + c] = bias[r] + Σ_j a[r * lda + j] * x[j * x_stride + c]`
+/// (ascending `j`, one accumulator per element — see the module docs for
+/// the bit-identity argument).
+///
+/// # Panics
+///
+/// Panics if any slice is too short for the requested shape or if
+/// `n` exceeds `x_stride` / `out_stride`.
+#[allow(clippy::too_many_arguments)] // a GEMM is its shape; a config struct would just rename the arguments
+pub fn gemm_bias(
+    a: &[f64],
+    lda: usize,
+    m: usize,
+    k: usize,
+    bias: &[f64],
+    x: &[f64],
+    x_stride: usize,
+    out: &mut [f64],
+    out_stride: usize,
+    n: usize,
+) {
+    check_shapes(a.len(), lda, m, k, x.len(), x_stride, out.len(), out_stride, n);
+    assert!(bias.len() >= m, "bias too short: {} < {m}", bias.len());
+    gemm_dispatch(a, lda, m, k, Some(bias), x, x_stride, out, out_stride, n)
+}
+
+/// Accumulating panel product: for every `r < m`, `c < n` performs
+/// `out[r * out_stride + c] += Σ_j a[r * lda + j] * x[j * x_stride + c]`
+/// (ascending `j`, one accumulator per element, added to `out` in a single
+/// `+=` — the second accumulator of the fused-LSTM reduction).
+///
+/// # Panics
+///
+/// Panics if any slice is too short for the requested shape or if
+/// `n` exceeds `x_stride` / `out_stride`.
+#[allow(clippy::too_many_arguments)] // a GEMM is its shape; a config struct would just rename the arguments
+pub fn gemm_acc(
+    a: &[f64],
+    lda: usize,
+    m: usize,
+    k: usize,
+    x: &[f64],
+    x_stride: usize,
+    out: &mut [f64],
+    out_stride: usize,
+    n: usize,
+) {
+    check_shapes(a.len(), lda, m, k, x.len(), x_stride, out.len(), out_stride, n);
+    gemm_dispatch(a, lda, m, k, None, x, x_stride, out, out_stride, n)
+}
 
 /// Shared bounds checks: `a` must hold `m` rows of `k` at stride `lda`,
 /// `x` must hold `k` panel rows at `x_stride`, `out` must hold `m` panel
@@ -583,40 +558,14 @@ mod tests {
         let mut dispatched = vec![0.0; m * n];
         let mut portable = vec![0.0; m * n];
         gemm_bias(&a, k, m, k, &bias, &x, n, &mut dispatched, n, n);
-        gemm_impl_f64(&a, k, m, k, Some(&bias), &x, n, &mut portable, n, n);
+        gemm_impl(&a, k, m, k, Some(&bias), &x, n, &mut portable, n, n);
         for (d, p) in dispatched.iter().zip(&portable) {
             assert_eq!(d.to_bits(), p.to_bits());
         }
         gemm_acc(&a, k, m, k, &x, n, &mut dispatched, n, n);
-        gemm_impl_f64(&a, k, m, k, None, &x, n, &mut portable, n, n);
+        gemm_impl(&a, k, m, k, None, &x, n, &mut portable, n, n);
         for (d, p) in dispatched.iter().zip(&portable) {
             assert_eq!(d.to_bits(), p.to_bits());
-        }
-    }
-
-    #[test]
-    fn f32_kernels_match_f32_scalar_reference() {
-        let (m, k, n) = (4usize, 5usize, 11usize);
-        let a: Vec<f32> = fill(11, m * k).iter().map(|&v| v as f32).collect();
-        let bias: Vec<f32> = fill(12, m).iter().map(|&v| v as f32).collect();
-        let x: Vec<f32> = fill(13, k * n).iter().map(|&v| v as f32).collect();
-        let mut out = vec![0.0f32; m * n];
-        gemm_bias_f32(&a, k, m, k, &bias, &x, n, &mut out, n, n);
-        gemm_acc_f32(&a, k, m, k, &x, n, &mut out, n, n);
-        for c in 0..n {
-            for r in 0..m {
-                let mut acc = 0.0f32;
-                for j in 0..k {
-                    acc += a[r * k + j] * x[j * n + c];
-                }
-                let mut z = bias[r] + acc;
-                let mut acc = 0.0f32;
-                for j in 0..k {
-                    acc += a[r * k + j] * x[j * n + c];
-                }
-                z += acc;
-                assert_eq!(out[r * n + c].to_bits(), z.to_bits(), "r={r} c={c}");
-            }
         }
     }
 

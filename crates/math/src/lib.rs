@@ -51,7 +51,7 @@ pub use angles::{deg_to_rad, rad_to_deg, wrap_angle};
 pub use cusum::Cusum;
 pub use dtw::{dtw_distance, dtw_path};
 pub use float::{approx_eq, fmax, fmin, is_zero, sort_floats};
-pub use gemm::{gemm_acc, gemm_acc_f32, gemm_bias, gemm_bias_f32};
+pub use gemm::{gemm_acc, gemm_bias};
 pub use mat3::Mat3;
 pub use matrix::Matrix;
 pub use stats::{mean, population_variance, sample_variance, std_dev, RollingWindow};

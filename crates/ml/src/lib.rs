@@ -27,8 +27,7 @@
 //!   struct-of-arrays panels over up to `width` sessions sharing one
 //!   model, cache-blocked matrix–matrix gate products
 //!   (`pidpiper_math::gemm`), bit-identical per lane to the streaming
-//!   path, with an opt-in non-deterministic `f32` mode for throughput
-//!   experiments;
+//!   path;
 //! - [`normalize::Normalizer`] — per-feature standardization;
 //! - [`dataset::WindowedDataset`] — sliding-window sample extraction from
 //!   mission time series;
@@ -56,7 +55,7 @@ pub mod selection;
 pub mod stream;
 
 pub use adam::Adam;
-pub use batch::{BatchPrecision, BatchScratch, BatchedStreamingRegressor};
+pub use batch::{BatchScratch, BatchedStreamingRegressor};
 pub use dataset::WindowedDataset;
 pub use dense::{Activation, Dense};
 pub use digest::{fnv64, fnv64_hex};

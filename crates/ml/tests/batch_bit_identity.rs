@@ -3,13 +3,10 @@
 //! engine *exactly* — compared with `f64::to_bits`, not an epsilon —
 //! across batch sizes (including non-multiples of the GEMM lane width
 //! and widths past 256), ragged/masked lanes, decimation-style phase
-//! skew with per-tick state gather/scatter, and NaN-burst inputs. The
-//! opt-in `f32` mode is the one deliberate exception: its error
-//! envelope is measured and pinned here instead.
+//! skew with per-tick state gather/scatter, and NaN-burst inputs.
 
 use pidpiper_ml::{
-    BatchPrecision, BatchedStreamingRegressor, LstmRegressor, RegressorConfig, StreamState,
-    WindowedDataset,
+    BatchedStreamingRegressor, LstmRegressor, RegressorConfig, StreamState, WindowedDataset,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -262,67 +259,4 @@ fn phase_skewed_sessions_survive_gather_scatter_every_tick() {
             }
         }
     }
-}
-
-/// The `f32` mode is *not* bit-identical by design; this measures its
-/// error envelope against the exact path on realistic magnitudes and
-/// pins the bound the docs advertise.
-#[test]
-fn f32_mode_error_envelope_is_nonzero_and_pinned() {
-    let config = RegressorConfig {
-        input_dim: 4,
-        output_dim: 3,
-        hidden: 8,
-        fc_width: 8,
-        window: 6,
-    };
-    let model = fitted_model(config, 97);
-    let engine = model.compile();
-    let exact = BatchedStreamingRegressor::compile(&engine);
-    let fast = BatchedStreamingRegressor::with_precision(&engine, BatchPrecision::F32);
-    let mut rng = StdRng::seed_from_u64(0xf32);
-
-    const BATCH: usize = 64;
-    let windows: Vec<_> = (0..BATCH)
-        .map(|_| random_rows(&mut rng, 6, 4, 20.0))
-        .collect();
-
-    let mut scratch = exact.scratch(BATCH);
-    let mut exact_out = vec![0.0; BATCH * 3];
-    exact
-        .predict_windows_into(&windows, &mut scratch, &mut exact_out)
-        .expect("valid windows");
-
-    let mut scratch = fast.scratch(BATCH);
-    scratch.reset_states();
-    let mut normed = vec![0.0; 4];
-    for t in 0..6 {
-        for (lane, window) in windows.iter().enumerate() {
-            engine.normalize_into(&window[t], &mut normed).unwrap();
-            scratch.load_row_f32(lane, &normed);
-        }
-        fast.step_batch_f32(&mut scratch, BATCH);
-    }
-    fast.finish_batch_f32(&mut scratch, BATCH);
-    let mut f32_out = vec![0.0; 3];
-    let mut max_err = 0.0f64;
-    let mut max_mag = 0.0f64;
-    for (lane, chunk) in exact_out.chunks_exact(3).enumerate() {
-        scratch.read_output(lane, &mut f32_out);
-        for (a, b) in f32_out.iter().zip(chunk) {
-            max_err = max_err.max((a - b).abs());
-            max_mag = max_mag.max(b.abs());
-        }
-    }
-    assert!(max_err.is_finite());
-    // It IS a different numeric path: demanding bit-identity here would
-    // be wrong, and an exactly-zero envelope would mean the f64 panels
-    // were silently used.
-    assert!(max_err > 0.0, "f32 path produced bit-identical output");
-    // The pinned envelope: single-precision roundoff on outputs of
-    // magnitude ~{max_mag:.0} stays far below the CUSUM drift thresholds.
-    assert!(
-        max_err < 1e-3,
-        "f32 error envelope blew the pinned bound: {max_err} (|out| up to {max_mag})",
-    );
 }

@@ -6,14 +6,30 @@
 //! full-scale equivalents.
 
 use pid_piper::prelude::*;
+use std::sync::OnceLock;
 
-/// A small shared fixture: traces + a trained defense.
+/// Traces plus the defense trained on them.
+type Fixture = (Vec<pid_piper::missions::Trace>, PidPiper);
+
+/// The shared fixture for `(rv, monitor_yaw_only)`, built at most once per
+/// test binary and handed out as a clone. Training is seeded, so every
+/// test sees exactly the model a fresh [`build_defense`] call returns.
+fn quick_defense(rv: RvId, monitor_yaw_only: bool) -> Fixture {
+    const SLOTS: usize = 2 * RvId::ALL.len();
+    static FIXTURES: [OnceLock<Fixture>; SLOTS] = [const { OnceLock::new() }; SLOTS];
+    let rv_index = RvId::ALL.iter().position(|&r| r == rv).expect("RvId::ALL lists every RV");
+    FIXTURES[2 * rv_index + usize::from(monitor_yaw_only)]
+        .get_or_init(|| build_defense(rv, monitor_yaw_only))
+        .clone()
+}
+
+/// A small fixture: traces + a trained defense.
 ///
 /// Loads the pre-trained deployment shipped under `models/` when present
 /// (the experiment harness regenerates those artifacts); otherwise trains
 /// a reduced model from scratch — slower and with wider calibrated
 /// thresholds, but sufficient for the behavioural assertions.
-fn quick_defense(rv: RvId, monitor_yaw_only: bool) -> (Vec<pid_piper::missions::Trace>, PidPiper) {
+fn build_defense(rv: RvId, monitor_yaw_only: bool) -> Fixture {
     let plans = MissionPlan::table1_missions(rv, 7, 0.3);
     let traces: Vec<_> = plans
         .iter()
