@@ -10,7 +10,10 @@ use crate::features::{assemble_into, FeatureSet, SensorPrimitives};
 use crate::gate::GateConfig;
 use pidpiper_control::{ActuatorSignal, TargetState};
 use pidpiper_missions::FlightPhase;
-use pidpiper_ml::{InferenceScratch, LstmRegressor, RegressorConfig, StreamState, StreamingRegressor};
+use pidpiper_ml::{
+    InferenceScratch, LstmRegressor, RegressorConfig, StreamHistory, StreamState,
+    StreamingRegressor,
+};
 
 /// Runtime pipeline configuration shared by FFC and FBC models.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,14 +47,12 @@ impl Default for PipelineConfig {
 /// path. The hot-path layout (see ARCHITECTURE.md, "Inference hot
 /// path"):
 ///
-/// - `ring` is a flat ring buffer of the last `window - 1` *sampled*
-///   feature rows, stored **already normalized** — each row is
-///   standardized exactly once, on ingest, instead of `window` times per
-///   refresh;
-/// - `prefix` caches the LSTM state after consuming the ring in order; it
-///   is recomputed only when a decimated push changes the history
-///   (every `decimate`-th step), so the per-tick refresh is a single
-///   fused LSTM step over the live row from a copy of `prefix`;
+/// - `history` is a [`StreamHistory`]: the last `window - 1` *sampled*
+///   feature rows, **already normalized** (each step's features are
+///   standardized once, for the live slot and the ring alike), and the
+///   LSTM prefix state after them, replayed only when a decimated push
+///   changes a full history. The per-tick refresh is a single fused LSTM
+///   step over the live row from a copy of the prefix;
 /// - all buffers are preallocated in [`FfcModel::new`]: after the first
 ///   `observe` call, the per-tick path performs zero heap allocation
 ///   (asserted by the `exp_perf` bench harness).
@@ -61,14 +62,8 @@ pub struct FfcModel {
     engine: StreamingRegressor,
     feature_set: FeatureSet,
     pipeline: PipelineConfig,
-    /// Flat `[(window-1) * dim]` ring of normalized sampled rows.
-    ring: Vec<f64>,
-    /// Index of the oldest ring row.
-    ring_head: usize,
-    /// Number of valid ring rows (`<= window - 1`).
-    ring_len: usize,
-    /// Cached LSTM state after the ring rows, oldest to newest.
-    prefix: StreamState,
+    /// Normalized sampled rows and the prefix state after them.
+    history: StreamHistory,
     /// Working state for the per-tick live step.
     live: StreamState,
     scratch: InferenceScratch,
@@ -104,12 +99,8 @@ impl FfcModel {
         );
         let engine = regressor.compile();
         let dim = feature_set.dim();
-        let history = regressor.config().window.saturating_sub(1);
         FfcModel {
-            ring: vec![0.0; history * dim],
-            ring_head: 0,
-            ring_len: 0,
-            prefix: engine.state(),
+            history: StreamHistory::new(&engine),
             live: engine.state(),
             scratch: engine.scratch(),
             feat_buf: Vec::with_capacity(dim),
@@ -188,77 +179,34 @@ impl FfcModel {
             &ActuatorSignal::default(),
             &mut self.feat_buf,
         );
-        let n = self.engine.config().window;
-        // The ring stores the last n-1 *sampled* rows; the live row makes
-        // the window whole. A dimension error cannot occur here (shapes
-        // are pinned at construction); if it somehow did, the model holds
-        // its previous prediction — deterministic degradation, no panic
-        // in the control loop.
-        if self.ring_len == n - 1 && self.refresh_prediction().is_ok() {
-            let y = &self.out_buf;
-            self.last_prediction = Some(ActuatorSignal::from_array([y[0], y[1], y[2], y[3]]));
-        }
-        if self.step_counter.is_multiple_of(self.pipeline.decimate) && n > 1 {
-            self.push_sample();
+        // The history holds the last window-1 *sampled* rows; the live
+        // row makes the window whole. Dimension errors cannot occur
+        // (shapes are pinned at construction); if one somehow did, the
+        // model holds its previous prediction — no panic in the loop.
+        let engine = &self.engine;
+        let (history, normed) = (&mut self.history, &mut self.normed_buf);
+        if engine.normalize_into(&self.feat_buf, normed).is_ok() {
+            let (live, scratch, y) = (&mut self.live, &mut self.scratch, &mut self.out_buf);
+            let full = history.is_full(engine);
+            if full && history.predict(engine, normed, live, scratch, y).is_ok() {
+                self.last_prediction = Some(ActuatorSignal::from_array([y[0], y[1], y[2], y[3]]));
+            }
+            // Decimated push; the replay amortizes to (window-1)/decimate
+            // LSTM steps per tick.
+            if self.step_counter.is_multiple_of(self.pipeline.decimate)
+                && history.push(engine, normed).is_ok()
+                && history.is_full(engine)
+            {
+                let _ = history.replay(engine, scratch);
+            }
         }
         self.step_counter += 1;
         self.last_prediction
     }
 
-    /// One fused LSTM step over the live row from a copy of the cached
-    /// prefix state, then the dense stack. Allocation-free.
-    fn refresh_prediction(&mut self) -> Result<(), pidpiper_ml::PredictError> {
-        self.engine.normalize_into(&self.feat_buf, &mut self.normed_buf)?;
-        self.live.copy_from(&self.prefix);
-        self.engine
-            .step_normed(&self.normed_buf, &mut self.live, &mut self.scratch)?;
-        self.engine
-            .finish_into(&self.live, &mut self.scratch, &mut self.out_buf)
-    }
-
-    /// Normalizes the current features into the next ring slot and, once
-    /// the history is full, replays the ring to refresh the cached prefix
-    /// state. Runs only on decimated steps, so its O(window) cost is
-    /// amortized to `(window-1)/decimate` LSTM steps per tick.
-    fn push_sample(&mut self) {
-        let dim = self.feature_set.dim();
-        let cap = self.engine.config().window - 1;
-        let slot = if self.ring_len == cap {
-            let s = self.ring_head;
-            self.ring_head = (self.ring_head + 1) % cap;
-            s
-        } else {
-            let s = (self.ring_head + self.ring_len) % cap;
-            self.ring_len += 1;
-            s
-        };
-        let row = &mut self.ring[slot * dim..(slot + 1) * dim];
-        if self.engine.normalize_into(&self.feat_buf, row).is_err() {
-            // Unreachable with construction-pinned shapes; leave the
-            // prefix untouched rather than poison it.
-            return;
-        }
-        if self.ring_len == cap {
-            self.prefix.reset();
-            for k in 0..cap {
-                let idx = (self.ring_head + k) % cap;
-                let row = &self.ring[idx * dim..(idx + 1) * dim];
-                if self
-                    .engine
-                    .step_normed(row, &mut self.prefix, &mut self.scratch)
-                    .is_err()
-                {
-                    return;
-                }
-            }
-        }
-    }
-
     /// Resets all runtime state (between missions).
     pub fn reset(&mut self) {
-        self.ring_head = 0;
-        self.ring_len = 0;
-        self.prefix.reset();
+        self.history.reset();
         self.step_counter = 0;
         self.last_prediction = None;
     }

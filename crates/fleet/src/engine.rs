@@ -397,6 +397,11 @@ mod tests {
         (engine.session_fingerprints(), *engine.stats())
     }
 
+    /// Digest of `run_fleet`'s per-session fingerprints and cumulative
+    /// stats. Pinned so a change that moves both tick paths the same way
+    /// (which comparing the two modes cannot see) still fails.
+    const PINNED_FLEET_DIGEST: u64 = 0xa303_c0aa_799b_6246;
+
     #[test]
     fn batched_and_per_session_fleets_are_bit_identical() {
         let (fp_batched, stats_batched) = run_fleet(FleetBatch::Batched);
@@ -405,6 +410,23 @@ mod tests {
         assert_eq!(fp_batched, fp_scalar, "batched inference changed a fingerprint");
         assert_eq!(stats_batched, stats_scalar);
         assert!(stats_batched.retired > 0, "budget retirement must occur in-run");
+        let (fps, s) = (&fp_batched, stats_batched);
+        let counters = [
+            s.submitted,
+            s.admitted,
+            s.queued,
+            s.rejected,
+            s.admitted_from_queue,
+            s.retired,
+            s.session_ticks,
+            s.join_failures,
+        ];
+        let mut d = pidpiper_missions::Fingerprint::new();
+        for v in fps.iter().flat_map(|&(id, fp)| [id, fp]).chain(counters) {
+            d.mix_u64(v);
+        }
+        let got = d.value();
+        assert_eq!(got, PINNED_FLEET_DIGEST, "fleet digest moved: {got:#018x}");
     }
 
     #[test]

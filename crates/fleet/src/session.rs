@@ -4,10 +4,10 @@
 //! A [`VehicleSession`] is *not* a [`MissionRunner`] — the closed-loop
 //! simulator flies one vehicle with full physics and costs far too much
 //! to keep 100k of them resident. A session is the deployed monitoring
-//! core only: the PR-5 streaming FFC state (normalized history ring plus
-//! a checkpointed `StreamState`), four per-axis CUSUM accumulators, and
-//! the PR-4 graceful-degradation supervisor, all folded over a
-//! deterministic synthetic flight. Everything heavy — engine weights,
+//! core only: the streaming FFC window (a [`StreamHistory`]: normalized
+//! history ring plus checkpointed prefix state), four per-axis CUSUM
+//! accumulators, and the PR-4 graceful-degradation supervisor, all folded
+//! over a deterministic synthetic flight. Everything heavy — engine weights,
 //! inference scratch, live `StreamState` — is shared per shard, so the
 //! marginal cost of one more session is a few kilobytes (see
 //! [`VehicleSession::resident_bytes`]).
@@ -21,7 +21,7 @@ use pidpiper_faults::FaultSchedule;
 use pidpiper_math::{Cusum, Vec3};
 use pidpiper_missions::{Fingerprint, FlightPhase, HealthState, MissionBudget, MissionError,
     MissionSpec, StrategyKind};
-use pidpiper_ml::{InferenceScratch, StreamState, StreamingRegressor};
+use pidpiper_ml::{InferenceScratch, StreamHistory, StreamState, StreamingRegressor};
 
 /// What [`VehicleSession::begin_tick`] established before inference: the
 /// simulated time, whether the fault schedule is active, and whether the
@@ -194,8 +194,9 @@ pub struct SessionTick {
 ///
 /// Persistent state per session (everything else is shard-shared):
 ///
-/// - a normalized feature ring of `window - 1` rows plus the checkpointed
-///   prefix [`StreamState`] — the PR-5 streaming layout;
+/// - a [`StreamHistory`]: the normalized feature ring of `window - 1`
+///   rows plus the checkpointed prefix [`StreamState`] — the same
+///   streaming window the FFC keeps;
 /// - four per-axis [`Cusum`] accumulators and their EMA baselines;
 /// - the PR-4 [`SessionSupervisor`] (health monitor, recovery watchdog,
 ///   latched [`HealthState`]);
@@ -207,12 +208,8 @@ pub struct VehicleSession {
     spec: SessionSpec,
     /// Seed-derived phase offsets of the synthetic flight.
     phase: [f64; 3],
-    /// Circular normalized history: `window - 1` rows of `input_dim`.
-    ring: Vec<f64>,
-    ring_rows: usize,
-    ring_head: usize,
-    /// `StreamState` after replaying the ring oldest-to-newest.
-    prefix: StreamState,
+    /// Normalized history ring and the prefix state after it.
+    history: StreamHistory,
     ticks_since_push: usize,
     ema: [f64; 4],
     ema_primed: bool,
@@ -231,16 +228,12 @@ pub struct VehicleSession {
 impl VehicleSession {
     /// Builds a session for `engine` from its spec.
     pub fn new(spec: SessionSpec, engine: &StreamingRegressor, params: &SessionParams) -> Self {
-        let c = engine.config();
         let s = spec.seed;
         // Three phase offsets in [0, 2π), derived from the seed without RNG.
         let ph = |k: u64| ((s.wrapping_mul(k) % 6283) as f64) * 1e-3;
         VehicleSession {
             phase: [ph(0x9E37), ph(0x85EB), ph(0xC2B2)],
-            ring: Vec::with_capacity((c.window - 1) * c.input_dim),
-            ring_rows: 0,
-            ring_head: 0,
-            prefix: engine.state(),
+            history: StreamHistory::new(engine),
             ticks_since_push: 0,
             ema: [0.0; 4],
             ema_primed: false,
@@ -368,18 +361,12 @@ impl VehicleSession {
         // row, run the dense head. Dimension errors cannot occur (every
         // buffer is engine-shaped); on the impossible mismatch the session
         // holds its previous prediction rather than crashing the shard.
-        let prediction = if pro.normed_ok {
-            live.copy_from(&self.prefix);
-            let stepped = engine.step_normed(normed, live, inf).is_ok()
-                && engine.finish_into(live, inf, out).is_ok();
-            if stepped {
+        let prediction =
+            if pro.normed_ok && self.history.predict(engine, normed, live, inf, out).is_ok() {
                 [out[0], out[1], out[2], out[3]]
             } else {
                 self.last_prediction
-            }
-        } else {
-            self.last_prediction
-        };
+            };
         let (tick, deferred) = self.finish_tick(engine, params, prediction, &pro, normed, Some(inf));
         debug_assert!(!deferred, "inline scratch given, replay cannot defer");
         Ok(tick)
@@ -537,9 +524,13 @@ impl VehicleSession {
         let mut replay_deferred = false;
         if self.ticks_since_push >= params.decimate {
             self.ticks_since_push = 0;
-            self.push_ring(engine, normed);
+            // Engine-shaped rows: neither push nor replay can fail; on
+            // the impossible error the checkpoint keeps what it reached.
+            let _ = self.history.push(engine, normed);
             match replay_scratch {
-                Some(inf) => self.replay_prefix(engine, inf),
+                Some(inf) => {
+                    let _ = self.history.replay(engine, inf);
+                }
                 None => replay_deferred = true,
             }
         }
@@ -565,62 +556,16 @@ impl VehicleSession {
         )
     }
 
-    /// Appends one normalized row to the circular history ring.
-    fn push_ring(&mut self, engine: &StreamingRegressor, row: &[f64]) {
-        let dim = engine.config().input_dim;
-        let cap_rows = engine.config().window - 1;
-        if cap_rows == 0 {
-            return;
-        }
-        if self.ring_rows < cap_rows {
-            self.ring.extend_from_slice(row);
-            self.ring_rows += 1;
-        } else {
-            let at = self.ring_head * dim;
-            self.ring[at..at + dim].copy_from_slice(row);
-            self.ring_head = (self.ring_head + 1) % cap_rows;
-        }
+    /// The streaming window (batched path: grouping key, replay rows and
+    /// gather source).
+    pub(crate) fn history(&self) -> &StreamHistory {
+        &self.history
     }
 
-    /// Recomputes the prefix checkpoint by replaying the ring
-    /// oldest-to-newest from the zero state. Also the per-session
-    /// fallback for batched replay groups of one.
-    pub(crate) fn replay_prefix(&mut self, engine: &StreamingRegressor, inf: &mut InferenceScratch) {
-        let dim = engine.config().input_dim;
-        self.prefix.reset();
-        for i in 0..self.ring_rows {
-            let idx = (self.ring_head + i) % self.ring_rows;
-            let row = &self.ring[idx * dim..(idx + 1) * dim];
-            // Engine-shaped row: cannot mismatch; skip defensively if it
-            // somehow does rather than poisoning the checkpoint.
-            if engine.step_normed(row, &mut self.prefix, inf).is_err() {
-                break;
-            }
-        }
-    }
-
-    /// The prefix checkpoint (batched path: gathered into a lane before
-    /// the live step).
-    pub(crate) fn prefix(&self) -> &StreamState {
-        &self.prefix
-    }
-
-    /// Mutable prefix checkpoint (batched path: scatter target after a
-    /// batched replay).
-    pub(crate) fn prefix_mut(&mut self) -> &mut StreamState {
-        &mut self.prefix
-    }
-
-    /// Rows currently in the history ring — the batched-replay grouping
-    /// key (lanes in one replay batch must step the same row count).
-    pub(crate) fn ring_rows(&self) -> usize {
-        self.ring_rows
-    }
-
-    /// The `i`-th oldest ring row (replay order), for batched replay.
-    pub(crate) fn ring_row(&self, i: usize, dim: usize) -> &[f64] {
-        let idx = (self.ring_head + i) % self.ring_rows;
-        &self.ring[idx * dim..(idx + 1) * dim]
+    /// Mutable streaming window (batched path: replay and scatter
+    /// target).
+    pub(crate) fn history_mut(&mut self) -> &mut StreamHistory {
+        &mut self.history
     }
 
     /// The previous tick's prediction — the batched path's fallback when

@@ -320,9 +320,7 @@ impl Shard {
     }
 
     /// The batched tick loop. Per chunk of [`BATCH_WIDTH`] sessions (in
-    /// admission order — every resident session shares the shard's model,
-    /// so the model-fingerprint grouping the batch key encodes is the
-    /// whole shard):
+    /// admission order; every resident session shares the shard's model):
     ///
     /// 1. **prologue/gather** — each session's budget check, synthetic
     ///    flight and normalization ([`VehicleSession::begin_tick`]); its
@@ -337,12 +335,12 @@ impl Shard {
     ///    fingerprint, decimated ring push) with the prefix replay
     ///    *deferred*.
     ///
-    /// Deferred replays are then grouped by ring row count (lanes in one
+    /// Deferred replays are then grouped by history row count (lanes in one
     /// replay batch must step the same number of rows — sessions
     /// mid-warmup or on a different decimation phase simply land in
     /// different groups or different ticks) and replayed through the
     /// batched kernels; groups of one fall back to the per-session
-    /// [`VehicleSession::replay_prefix`]. Every f64 op matches the
+    /// [`pidpiper_ml::StreamHistory::replay`]. Every f64 op matches the
     /// per-session path, so fingerprints are bit-identical — the fleet
     /// bench gates this (`batch_invariant`).
     fn tick_batched(
@@ -372,7 +370,7 @@ impl Shard {
                 match session.begin_tick(engine, params, &mut shard_scratch.feat, row) {
                     Ok(pro) => {
                         if pro.normed_ok {
-                            state.scratch.load_state(lane, session.prefix());
+                            state.scratch.load_state(lane, session.history().prefix());
                             state.scratch.load_row(lane, row);
                         }
                         state.lanes.push(i);
@@ -412,44 +410,44 @@ impl Shard {
             start = end;
         }
 
-        // Batched prefix replay, grouped by ring row count. The sort key
-        // is (rows, index): deterministic, and sessions keep their
+        // Batched prefix replay, grouped by history row count. The sort
+        // key is (rows, index): deterministic, and sessions keep their
         // relative order inside a group.
         state
             .replay
-            .sort_unstable_by_key(|&i| (sessions[i].ring_rows(), i));
-        let mut g = 0;
-        while g < state.replay.len() {
-            let rows = sessions[state.replay[g]].ring_rows();
-            let mut group_end = g + 1;
-            while group_end < state.replay.len()
-                && sessions[state.replay[group_end]].ring_rows() == rows
-            {
-                group_end += 1;
+            .sort_unstable_by_key(|&i| (sessions[i].history().rows(), i));
+        let mut rest = state.replay.as_slice();
+        while let Some(&first) = rest.first() {
+            let rows = sessions[first].history().rows();
+            let len = rest
+                .iter()
+                .take_while(|&&i| sessions[i].history().rows() == rows)
+                .count();
+            let (group, tail) = rest.split_at(len);
+            rest = tail;
+            if let [i] = *group {
+                // Ragged remainder: the per-session fallback. Engine-shaped
+                // rows cannot fail to step.
+                let _ = sessions[i]
+                    .history_mut()
+                    .replay(engine, &mut shard_scratch.scratch);
+                continue;
             }
-            if group_end - g == 1 {
-                // Ragged remainder: the per-session fallback.
-                sessions[state.replay[g]].replay_prefix(engine, &mut shard_scratch.scratch);
-            } else {
-                let mut cs = g;
-                while cs < group_end {
-                    let ce = (cs + BATCH_WIDTH).min(group_end);
-                    let lanes = &state.replay[cs..ce];
-                    let n = lanes.len();
-                    state.scratch.reset_states();
-                    for t in 0..rows {
-                        for (lane, &i) in lanes.iter().enumerate() {
-                            state.scratch.load_row(lane, sessions[i].ring_row(t, dim));
-                        }
-                        batched.step_batch(&mut state.scratch, n);
-                    }
+            for lanes in group.chunks(BATCH_WIDTH) {
+                let n = lanes.len();
+                state.scratch.reset_states();
+                for t in 0..rows {
                     for (lane, &i) in lanes.iter().enumerate() {
-                        state.scratch.store_state(lane, sessions[i].prefix_mut());
+                        let row = sessions[i].history().row(engine, t);
+                        state.scratch.load_row(lane, row);
                     }
-                    cs = ce;
+                    batched.step_batch(&mut state.scratch, n);
+                }
+                for (lane, &i) in lanes.iter().enumerate() {
+                    let prefix = sessions[i].history_mut().prefix_mut();
+                    state.scratch.store_state(lane, prefix);
                 }
             }
-            g = group_end;
         }
 
         // Retire budget violators: records in ascending index order (the

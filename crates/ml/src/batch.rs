@@ -30,10 +30,11 @@
 //! written. Callers with heterogeneous sessions (mid-window, decimation
 //! phase skew, quarantine) simply pack the compatible subset and fall
 //! back to the per-session path for the rest — see
-//! `pidpiper-fleet::shard`.
+//! `pidpiper-fleet::shard`, which groups sessions' [`crate::StreamHistory`]
+//! windows by row count and replays each group through these kernels —
+//! per lane the same op sequence as [`crate::StreamHistory::replay`].
 
 use crate::dense::{Activation, Dense};
-use crate::digest::fnv64;
 use crate::normalize::Normalizer;
 use crate::stream::{FusedLstm, PredictError, StreamState, StreamingRegressor};
 use pidpiper_math::activations;
@@ -323,7 +324,6 @@ impl BatchScratch {
 #[derive(Debug, Clone)]
 pub struct BatchedStreamingRegressor {
     engine: StreamingRegressor,
-    weights_fp: u64,
 }
 
 impl BatchedStreamingRegressor {
@@ -332,21 +332,12 @@ impl BatchedStreamingRegressor {
     pub fn compile(engine: &StreamingRegressor) -> Self {
         BatchedStreamingRegressor {
             engine: engine.clone(),
-            weights_fp: fingerprint_weights(engine),
         }
     }
 
     /// The wrapped per-session engine (same weights, same config).
     pub fn engine(&self) -> &StreamingRegressor {
         &self.engine
-    }
-
-    /// FNV-1a digest over the engine's weight bits, config and
-    /// normalizers. Two sessions may share a batch lane iff their model
-    /// fingerprints are equal — this is the grouping key the fleet shard
-    /// tick uses.
-    pub fn weights_fingerprint(&self) -> u64 {
-        self.weights_fp
     }
 
     /// A fresh [`BatchScratch`] with capacity for `width` lanes.
@@ -366,12 +357,6 @@ impl BatchedStreamingRegressor {
             out: vec![0.0; c.output_dim * width],
             normed: vec![0.0; c.input_dim],
         }
-    }
-
-    /// Heap bytes a `width`-lane scratch of this engine occupies —
-    /// what fleet capacity planning amortizes over a shard's sessions.
-    pub fn scratch_bytes(&self, width: usize) -> usize {
-        self.scratch(width).resident_bytes()
     }
 
     /// Advances the first `n` lanes by their loaded input rows: the
@@ -590,42 +575,6 @@ fn inverse_panel(norm: &Normalizer, zp: &[f64], outp: &mut [f64], w: usize, n: u
     }
 }
 
-/// FNV-1a over the full weight snapshot: config dims, fused LSTM rows and
-/// biases, the dense stack (weights, biases, PReLU slopes) and both
-/// normalizers, all as little-endian f64 bits.
-fn fingerprint_weights(engine: &StreamingRegressor) -> u64 {
-    let c = &engine.config;
-    let mut bytes: Vec<u8> = Vec::new();
-    for dim in [c.input_dim, c.output_dim, c.hidden, c.fc_width, c.window] {
-        bytes.extend_from_slice(&(dim as u64).to_le_bytes());
-    }
-    let mut feed = Vec::new();
-    for l in [&engine.lstm1, &engine.lstm2] {
-        feed.push(l.rows.as_slice());
-        feed.push(l.bias.as_slice());
-    }
-    for d in [
-        &engine.fc_sigmoid,
-        &engine.fc_prelu1,
-        &engine.fc_prelu2,
-        &engine.head,
-    ] {
-        feed.push(d.w.value.as_slice());
-        feed.push(d.b.value.as_slice());
-        feed.push(d.alpha.value.as_slice());
-    }
-    for nm in [&engine.normalizer, &engine.target_normalizer] {
-        feed.push(nm.means());
-        feed.push(nm.stds());
-    }
-    for slice in feed {
-        for v in slice {
-            bytes.extend_from_slice(&v.to_bits().to_le_bytes());
-        }
-    }
-    fnv64(&bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -729,16 +678,5 @@ mod tests {
         let mut back: Vec<StreamState> = (0..3).map(|_| e.state()).collect();
         round.store_states(&mut back);
         assert_eq!(back, got_states);
-    }
-
-    #[test]
-    fn fingerprint_separates_models_and_is_stable() {
-        let e1 = engine();
-        let e2 = LstmRegressor::new(RegressorConfig::tiny(2, 1), 22).compile();
-        let b1a = BatchedStreamingRegressor::compile(&e1);
-        let b1b = BatchedStreamingRegressor::compile(&e1);
-        let b2 = BatchedStreamingRegressor::compile(&e2);
-        assert_eq!(b1a.weights_fingerprint(), b1b.weights_fingerprint());
-        assert_ne!(b1a.weights_fingerprint(), b2.weights_fingerprint());
     }
 }

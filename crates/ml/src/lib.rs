@@ -22,7 +22,8 @@
 //! - [`stream::StreamingRegressor`] — the compiled, zero-allocation
 //!   streaming form of the network (fused LSTM gate blocks, caller-owned
 //!   [`stream::InferenceScratch`]), bit-identical to the reference
-//!   `predict` path;
+//!   `predict` path, and [`stream::StreamHistory`], the per-vehicle
+//!   history ring + prefix checkpoint it streams from;
 //! - [`batch::BatchedStreamingRegressor`] — the batched fleet form:
 //!   struct-of-arrays panels over up to `width` sessions sharing one
 //!   model, cache-blocked matrix–matrix gate products
@@ -64,4 +65,4 @@ pub use network::{LstmRegressor, RegressorConfig, TrainReport};
 pub use normalize::Normalizer;
 pub use param::Param;
 pub use selection::{greedy_forward_selection, vif_prune};
-pub use stream::{InferenceScratch, PredictError, StreamState, StreamingRegressor};
+pub use stream::{InferenceScratch, PredictError, StreamHistory, StreamState, StreamingRegressor};

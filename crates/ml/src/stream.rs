@@ -15,6 +15,9 @@
 //!   callers can checkpoint a partially-consumed window (the FFC caches
 //!   the state after its history rows and replays only the live row each
 //!   tick);
+//! - [`StreamHistory`] — one vehicle's streaming window: the normalized
+//!   history ring, its prefix [`StreamState`], replay and the live
+//!   prediction, shared by the FFC and every fleet session;
 //! - [`StreamingRegressor::predict_into`] — a whole-window entry point
 //!   that is **bit-identical** to [`LstmRegressor::predict`] and performs
 //!   zero heap allocation after the scratch has been built.
@@ -232,6 +235,165 @@ impl StreamState {
     }
 }
 
+/// One vehicle's streaming window: the last `window - 1` *normalized*
+/// history rows in a flat ring, the prefix [`StreamState`] after them,
+/// and the live prediction over one more row.
+///
+/// The FFC and every fleet session keep their window in this type, so
+/// the ring layout, replay order and live step exist once. Methods that
+/// need a shape take the engine: nothing caches a dimension or capacity.
+/// The ring grows by `extend` into capacity reserved by
+/// [`StreamHistory::new`] and never reallocates, clones included.
+#[derive(Debug)]
+pub struct StreamHistory {
+    /// Up to `window - 1` normalized rows of `input_dim`.
+    ring: Vec<f64>,
+    /// Rows held (`<= window - 1`).
+    rows: usize,
+    /// Slot of the oldest row (nonzero only once the ring is full).
+    head: usize,
+    /// State after the ring's rows, oldest to newest, as of the last
+    /// [`StreamHistory::replay`].
+    prefix: StreamState,
+}
+
+impl Clone for StreamHistory {
+    /// Keeps the ring's reserved capacity: a derived clone would reserve
+    /// only the rows held, so a clone of a fresh window (every mission's
+    /// FFC starts as one) would reallocate while it warms up.
+    fn clone(&self) -> Self {
+        let mut ring = Vec::with_capacity(self.ring.capacity());
+        ring.extend_from_slice(&self.ring);
+        StreamHistory {
+            ring,
+            rows: self.rows,
+            head: self.head,
+            prefix: self.prefix.clone(),
+        }
+    }
+}
+
+impl StreamHistory {
+    /// An empty window for `engine`, its ring capacity reserved.
+    pub fn new(engine: &StreamingRegressor) -> Self {
+        let c = engine.config();
+        StreamHistory {
+            ring: Vec::with_capacity(c.window.saturating_sub(1) * c.input_dim),
+            rows: 0,
+            head: 0,
+            prefix: engine.state(),
+        }
+    }
+
+    /// Rows currently in the ring.
+    #[inline]
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Whether the ring holds all `window - 1` rows (always at window 1).
+    #[inline]
+    pub fn is_full(&self, engine: &StreamingRegressor) -> bool {
+        self.rows == engine.config().window.saturating_sub(1)
+    }
+
+    /// The `i`-th oldest row. Panics if `i >= rows()`.
+    #[inline]
+    pub fn row(&self, engine: &StreamingRegressor, i: usize) -> &[f64] {
+        let dim = engine.config().input_dim;
+        let slot = (self.head + i) % self.rows;
+        &self.ring[slot * dim..(slot + 1) * dim]
+    }
+
+    /// Appends a normalized row, evicting the oldest once full; a no-op
+    /// at window 1. The prefix is left for [`StreamHistory::replay`].
+    ///
+    /// # Errors
+    ///
+    /// [`PredictError::FeatureDim`], ring untouched, on a wrong-length row.
+    pub fn push(&mut self, engine: &StreamingRegressor, row: &[f64]) -> Result<(), PredictError> {
+        let c = engine.config();
+        if row.len() != c.input_dim {
+            return Err(PredictError::FeatureDim {
+                step: 0,
+                got: row.len(),
+                expected: c.input_dim,
+            });
+        }
+        let cap = c.window.saturating_sub(1);
+        if self.rows < cap {
+            self.ring.extend_from_slice(row);
+            self.rows += 1;
+        } else if cap > 0 {
+            let at = self.head * c.input_dim;
+            self.ring[at..at + c.input_dim].copy_from_slice(row);
+            self.head = (self.head + 1) % cap;
+        }
+        Ok(())
+    }
+
+    /// Recomputes the prefix: the ring's rows, oldest to newest, stepped
+    /// from the zero state.
+    ///
+    /// # Errors
+    ///
+    /// Stops at the first row that fails to step and returns its error.
+    pub fn replay(
+        &mut self,
+        engine: &StreamingRegressor,
+        scratch: &mut InferenceScratch,
+    ) -> Result<(), PredictError> {
+        let dim = engine.config().input_dim;
+        self.prefix.reset();
+        for i in 0..self.rows {
+            let slot = (self.head + i) % self.rows;
+            let row = &self.ring[slot * dim..(slot + 1) * dim];
+            engine.step_normed(row, &mut self.prefix, scratch)?;
+        }
+        Ok(())
+    }
+
+    /// The live prediction, allocation-free: copies the prefix into
+    /// `live`, steps the normalized present row, runs the dense head into
+    /// `out`.
+    ///
+    /// # Errors
+    ///
+    /// A [`PredictError`] if `x_normed` or `out` has the wrong length.
+    pub fn predict(
+        &self,
+        engine: &StreamingRegressor,
+        x_normed: &[f64],
+        live: &mut StreamState,
+        scratch: &mut InferenceScratch,
+        out: &mut [f64],
+    ) -> Result<(), PredictError> {
+        live.copy_from(&self.prefix);
+        engine.step_normed(x_normed, live, scratch)?;
+        engine.finish_into(live, scratch, out)
+    }
+
+    /// The prefix checkpoint.
+    #[inline]
+    pub fn prefix(&self) -> &StreamState {
+        &self.prefix
+    }
+
+    /// Mutable prefix, for callers that replay in batches.
+    #[inline]
+    pub fn prefix_mut(&mut self) -> &mut StreamState {
+        &mut self.prefix
+    }
+
+    /// Empties the ring (keeping its capacity) and zeroes the prefix.
+    pub fn reset(&mut self) {
+        self.ring.clear();
+        self.rows = 0;
+        self.head = 0;
+        self.prefix.reset();
+    }
+}
+
 /// Preallocated working buffers for one [`StreamingRegressor`].
 ///
 /// Build once via [`StreamingRegressor::scratch`], reuse for every call;
@@ -347,19 +509,16 @@ impl StreamingRegressor {
     }
 
     /// Bytes a long-lived session must keep *resident between ticks* to
-    /// stream this engine: one checkpoint [`StreamState`] (`4 * hidden`
-    /// f64s) plus a normalized history ring of `window - 1` feature rows
-    /// (`(window - 1) * input_dim` f64s).
+    /// stream this engine: one [`StreamHistory`] (`4 * hidden` prefix
+    /// f64s plus `(window - 1) * input_dim` ring f64s).
     ///
     /// Engine weights and the [`InferenceScratch`] are shared across any
     /// number of sessions and are deliberately excluded — this is the
     /// marginal cost of one more session, the number fleet capacity
     /// planning multiplies by the session count (see `OPERATIONS.md`).
     pub fn session_state_bytes(&self) -> usize {
-        let state = 4 * self.config.hidden * std::mem::size_of::<f64>();
-        let ring =
-            (self.config.window - 1) * self.config.input_dim * std::mem::size_of::<f64>();
-        state + ring
+        let h = StreamHistory::new(self);
+        h.ring.capacity() * std::mem::size_of::<f64>() + h.prefix.resident_bytes()
     }
 
     /// Standardizes one raw feature row into `out` without allocating.
@@ -659,6 +818,19 @@ mod tests {
             scratch.resident_bytes(),
             expected_state + (c.input_dim + 4 * c.hidden + 2 * c.fc_width + c.output_dim) * 8
         );
+    }
+
+    #[test]
+    fn history_clone_keeps_reserved_ring() {
+        let engine = LstmRegressor::new(RegressorConfig::tiny(2, 1), 0).compile();
+        let c = *engine.config();
+        let mut h = StreamHistory::new(&engine).clone();
+        let ring = h.ring.as_ptr();
+        for _ in 0..c.window {
+            h.push(&engine, &[0.5, -0.5]).expect("dims");
+        }
+        assert_eq!(h.ring.capacity(), (c.window - 1) * c.input_dim);
+        assert_eq!(h.ring.as_ptr(), ring, "warm-up reallocated the ring");
     }
 
     #[test]

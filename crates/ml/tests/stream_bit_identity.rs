@@ -2,9 +2,9 @@
 //! reproduce the reference `predict` path *exactly* — compared with
 //! `f64::to_bits`, not an epsilon — across random configurations,
 //! weights, normalizers and windows, including scratch reuse across
-//! calls.
+//! calls and the incremental `StreamHistory` window.
 
-use pidpiper_ml::{LstmRegressor, PredictError, RegressorConfig, WindowedDataset};
+use pidpiper_ml::{LstmRegressor, PredictError, RegressorConfig, StreamHistory, WindowedDataset};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,6 +51,33 @@ proptest! {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
             }
         }
+
+        // The same model streamed through a StreamHistory: the ring wraps
+        // (more than 2 x window pushes), and at window 1 it stays empty.
+        let mut history = StreamHistory::new(&engine);
+        let mut live = engine.state();
+        let raw = random_rows(&mut rng, 2 * window + 3, input_dim, 20.0);
+        let mut normed = vec![vec![0.0; input_dim]; raw.len()];
+        for k in 0..raw.len() {
+            engine.normalize_into(&raw[k], &mut normed[k]).expect("dims");
+            if history.is_full(&engine) {
+                let reference = model.predict(&raw[k + 1 - window..=k]).expect("valid window");
+                history
+                    .predict(&engine, &normed[k], &mut live, &mut scratch, &mut out)
+                    .expect("dims");
+                for (a, b) in out.iter().zip(&reference) {
+                    prop_assert_eq!(a.to_bits(), b.to_bits());
+                }
+            }
+            history.push(&engine, &normed[k]).expect("dims");
+            history.replay(&engine, &mut scratch).expect("dims");
+            let rows = (k + 1).min(window - 1);
+            prop_assert_eq!(history.rows(), rows);
+            for (i, want) in normed[k + 1 - rows..=k].iter().enumerate() {
+                prop_assert_eq!(history.row(&engine, i), want.as_slice());
+            }
+        }
+        prop_assert!(history.is_full(&engine));
     }
 
     #[test]
