@@ -357,20 +357,23 @@ impl FleetEngine {
 mod tests {
     use super::*;
     use pidpiper_faults::FaultSchedule;
-    use pidpiper_missions::MissionBudget;
+    use pidpiper_missions::{MissionBudget, StrategyKind};
 
     /// A small but adversarial fleet: faulted sessions, budget-retired
     /// sessions, shard populations spanning several batch chunks, and a
     /// second admission wave so ring warm-up states (and hence batched
     /// replay groups) are ragged.
-    fn run_fleet(batch: FleetBatch) -> (Vec<(u64, u64)>, FleetStats) {
+    fn run_fleet(batch: FleetBatch, strategy: StrategyKind) -> (Vec<(u64, u64)>, FleetStats) {
         let config = FleetConfig {
             shards: 3,
             workers: 1,
             shard_capacity: 200,
             pending_capacity: 16,
             shard_cost_budget: u64::MAX,
-            session: SessionParams::default(),
+            session: SessionParams {
+                strategy,
+                ..SessionParams::default()
+            },
             batch,
         };
         let mut engine = FleetEngine::with_synthetic_model(config, 2027);
@@ -398,19 +401,19 @@ mod tests {
     }
 
     /// Digest of `run_fleet`'s per-session fingerprints and cumulative
-    /// stats. Pinned so a change that moves both tick paths the same way
-    /// (which comparing the two modes cannot see) still fails.
+    /// stats under Algorithm 1. Pinned so a change that moves both tick
+    /// paths the same way (which comparing the two modes cannot see)
+    /// still fails.
     const PINNED_FLEET_DIGEST: u64 = 0xa303_c0aa_799b_6246;
+    /// The same digest under the spec-compliance strategy. It equals
+    /// Algorithm 1's: no session of this fleet is ever recovering with its
+    /// statistic between `tau / 2` and `tau`, the only band where the
+    /// two trip rules differ.
+    const PINNED_SPEC_COMPLIANCE_DIGEST: u64 = 0xa303_c0aa_799b_6246;
+    /// The same digest under the diagnosis-guided strategy.
+    const PINNED_DIAGNOSIS_GUIDED_DIGEST: u64 = 0x4d61_67d4_d8d0_e805;
 
-    #[test]
-    fn batched_and_per_session_fleets_are_bit_identical() {
-        let (fp_batched, stats_batched) = run_fleet(FleetBatch::Batched);
-        let (fp_scalar, stats_scalar) = run_fleet(FleetBatch::PerSession);
-        assert_eq!(fp_batched.len(), fp_scalar.len());
-        assert_eq!(fp_batched, fp_scalar, "batched inference changed a fingerprint");
-        assert_eq!(stats_batched, stats_scalar);
-        assert!(stats_batched.retired > 0, "budget retirement must occur in-run");
-        let (fps, s) = (&fp_batched, stats_batched);
+    fn fleet_digest(fps: &[(u64, u64)], s: &FleetStats) -> u64 {
         let counters = [
             s.submitted,
             s.admitted,
@@ -425,8 +428,26 @@ mod tests {
         for v in fps.iter().flat_map(|&(id, fp)| [id, fp]).chain(counters) {
             d.mix_u64(v);
         }
-        let got = d.value();
-        assert_eq!(got, PINNED_FLEET_DIGEST, "fleet digest moved: {got:#018x}");
+        d.value()
+    }
+
+    #[test]
+    fn batched_and_per_session_fleets_are_bit_identical() {
+        for strategy in StrategyKind::ALL {
+            let (fp_batched, stats_batched) = run_fleet(FleetBatch::Batched, strategy);
+            let (fp_scalar, stats_scalar) = run_fleet(FleetBatch::PerSession, strategy);
+            assert_eq!(fp_batched.len(), fp_scalar.len());
+            assert_eq!(fp_batched, fp_scalar, "{strategy}: batched inference changed a fingerprint");
+            assert_eq!(stats_batched, stats_scalar, "{strategy}");
+            assert!(stats_batched.retired > 0, "budget retirement must occur in-run");
+            let pinned = match strategy {
+                StrategyKind::Algorithm1 => PINNED_FLEET_DIGEST,
+                StrategyKind::SpecCompliance => PINNED_SPEC_COMPLIANCE_DIGEST,
+                StrategyKind::DiagnosisGuided => PINNED_DIAGNOSIS_GUIDED_DIGEST,
+            };
+            let got = fleet_digest(&fp_batched, &stats_batched);
+            assert_eq!(got, pinned, "{strategy}: fleet digest moved: {got:#018x}");
+        }
     }
 
     #[test]
