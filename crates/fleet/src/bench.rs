@@ -497,7 +497,10 @@ pub fn write_report(r: &FleetBenchReport) {
     if let Err(e) = fs::create_dir_all(&exp_dir) {
         eprintln!("warning: failed to create {}: {e}", exp_dir.display());
     }
-    for path in [root.join("BENCH_fleet.json"), exp_dir.join("BENCH_fleet.json")] {
+    for path in [
+        root.join("BENCH_fleet.json"),
+        exp_dir.join("BENCH_fleet.json"),
+    ] {
         if let Err(e) = fs::write(&path, &body) {
             eprintln!("warning: failed to write {}: {e}", path.display());
         }
@@ -560,7 +563,10 @@ mod tests {
         assert!(r.tick_ms_mean > 0.0);
         assert!(r.bytes_per_session >= 4416, "ring + state floor");
         // submitted == admitted + queued + rejected.
-        assert_eq!(r.admission[0], r.admission[1] + r.admission[2] + r.admission[3]);
+        assert_eq!(
+            r.admission[0],
+            r.admission[1] + r.admission[2] + r.admission[3]
+        );
         // The deliberate overflow forces queueing AND typed rejection.
         assert!(r.admission[2] > 0, "no backpressure exercised");
         assert!(r.admission[3] > 0, "no typed rejection exercised");

@@ -146,7 +146,8 @@ impl FleetEngine {
     pub fn new(model: StreamingRegressor, config: FleetConfig) -> Self {
         let config = config.sanitized();
         let c = model.config();
-        let session_cost = 1 + ((c.window - 1) as u64).div_ceil(config.session.decimate.max(1) as u64);
+        let session_cost =
+            1 + ((c.window - 1) as u64).div_ceil(config.session.decimate.max(1) as u64);
         let batched = match config.batch {
             FleetBatch::Batched => Some(BatchedStreamingRegressor::compile(&model)),
             FleetBatch::PerSession => None,
@@ -326,9 +327,8 @@ impl FleetEngine {
     /// — sorted by session id. This is the value the determinism gate
     /// compares across worker and shard counts.
     pub fn session_fingerprints(&self) -> Vec<(u64, u64)> {
-        let mut out: Vec<(u64, u64)> = Vec::with_capacity(
-            self.resident_sessions() + self.stats.retired as usize,
-        );
+        let mut out: Vec<(u64, u64)> =
+            Vec::with_capacity(self.resident_sessions() + self.stats.retired as usize);
         for shard in &self.shards {
             for s in shard.sessions() {
                 out.push((s.id(), s.fingerprint()));
@@ -437,9 +437,15 @@ mod tests {
             let (fp_batched, stats_batched) = run_fleet(FleetBatch::Batched, strategy);
             let (fp_scalar, stats_scalar) = run_fleet(FleetBatch::PerSession, strategy);
             assert_eq!(fp_batched.len(), fp_scalar.len());
-            assert_eq!(fp_batched, fp_scalar, "{strategy}: batched inference changed a fingerprint");
+            assert_eq!(
+                fp_batched, fp_scalar,
+                "{strategy}: batched inference changed a fingerprint"
+            );
             assert_eq!(stats_batched, stats_scalar, "{strategy}");
-            assert!(stats_batched.retired > 0, "budget retirement must occur in-run");
+            assert!(
+                stats_batched.retired > 0,
+                "budget retirement must occur in-run"
+            );
             let pinned = match strategy {
                 StrategyKind::Algorithm1 => PINNED_FLEET_DIGEST,
                 StrategyKind::SpecCompliance => PINNED_SPEC_COMPLIANCE_DIGEST,
@@ -468,7 +474,10 @@ mod tests {
         );
         let a = scalar.bytes_per_session();
         let b = batched.bytes_per_session();
-        assert!(b > a, "batched accounting must include the amortized scratch");
+        assert!(
+            b > a,
+            "batched accounting must include the amortized scratch"
+        );
         // The ~5 KB/session budget from OPERATIONS.md holds with the
         // batch scratch amortized in.
         assert!(b < 5 * 1024, "session must stay under ~5 KB, got {b}");

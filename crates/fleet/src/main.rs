@@ -22,9 +22,7 @@ fn main() {
             "FAIL: fleet determinism gate (worker_invariant={}, shard_invariant={}, \
              batch_invariant={}); per-session fingerprints must be bit-identical for \
              any worker count and batching mode",
-            report.gate.worker_invariant,
-            report.gate.shard_invariant,
-            report.gate.batch_invariant,
+            report.gate.worker_invariant, report.gate.shard_invariant, report.gate.batch_invariant,
         );
         std::process::exit(1);
     }

@@ -19,8 +19,9 @@ use pidpiper_core::features::{assemble_into, FeatureSet, SensorPrimitives};
 use pidpiper_core::{SessionSupervisor, SignalEnvelope};
 use pidpiper_faults::FaultSchedule;
 use pidpiper_math::{Cusum, Vec3};
-use pidpiper_missions::{Fingerprint, FlightPhase, HealthState, MissionBudget, MissionError,
-    MissionSpec, StrategyKind};
+use pidpiper_missions::{
+    Fingerprint, FlightPhase, HealthState, MissionBudget, MissionError, MissionSpec, StrategyKind,
+};
 use pidpiper_ml::{InferenceScratch, StreamHistory, StreamState, StreamingRegressor};
 
 /// What [`VehicleSession::begin_tick`] established before inference: the
@@ -307,7 +308,11 @@ impl VehicleSession {
                 (0.7 * t + p1).sin(),
                 5.0 + 0.3 * (0.4 * t + p2).cos(),
             ),
-            velocity: Vec3::new(2.0, 0.7 * (0.7 * t + p1).cos(), -0.12 * (0.4 * t + p2).sin()),
+            velocity: Vec3::new(
+                2.0,
+                0.7 * (0.7 * t + p1).cos(),
+                -0.12 * (0.4 * t + p2).sin(),
+            ),
             attitude: Vec3::new(
                 0.02 * (1.1 * t + p0).sin(),
                 0.03 * (0.9 * t + p1).cos(),
@@ -367,7 +372,8 @@ impl VehicleSession {
             } else {
                 self.last_prediction
             };
-        let (tick, deferred) = self.finish_tick(engine, params, prediction, &pro, normed, Some(inf));
+        let (tick, deferred) =
+            self.finish_tick(engine, params, prediction, &pro, normed, Some(inf));
         debug_assert!(!deferred, "inline scratch given, replay cannot defer");
         Ok(tick)
     }
@@ -407,11 +413,7 @@ impl VehicleSession {
             }
         }
 
-        let fault_active = self
-            .spec
-            .fault
-            .as_ref()
-            .is_some_and(|f| f.is_active(t));
+        let fault_active = self.spec.fault.as_ref().is_some_and(|f| f.is_active(t));
         let prims = self.synthesize(t, fault_active, params.fault_bias);
         assemble_into(
             FeatureSet::FfcPruned,
@@ -448,7 +450,9 @@ impl VehicleSession {
         normed: &[f64],
         replay_scratch: Option<&mut InferenceScratch>,
     ) -> (SessionTick, bool) {
-        let TickPrologue { t, fault_active, .. } = *pro;
+        let TickPrologue {
+            t, fault_active, ..
+        } = *pro;
         self.last_prediction = prediction;
 
         // Residual per axis against a slow EMA baseline: smooth nominal
@@ -652,8 +656,7 @@ mod tests {
                 strategy,
                 ..SessionParams::default()
             };
-            let spec =
-                SessionSpec::new(9, 5).with_fault(FaultSchedule::Continuous { start: 1.0 });
+            let spec = SessionSpec::new(9, 5).with_fault(FaultSchedule::Continuous { start: 1.0 });
             let mut s = VehicleSession::new(spec, &eng, &params);
             let mut scratch = ShardScratch::for_engine(&eng);
             for _ in 0..600 {
@@ -667,12 +670,12 @@ mod tests {
         let default_params = SessionParams::default();
         assert_eq!(default_params.strategy, StrategyKind::Algorithm1);
         assert_eq!(fp(StrategyKind::Algorithm1).0, {
-            let spec =
-                SessionSpec::new(9, 5).with_fault(FaultSchedule::Continuous { start: 1.0 });
+            let spec = SessionSpec::new(9, 5).with_fault(FaultSchedule::Continuous { start: 1.0 });
             let mut s = VehicleSession::new(spec, &eng, &default_params);
             let mut scratch = ShardScratch::for_engine(&eng);
             for _ in 0..600 {
-                s.tick(&eng, &default_params, &mut scratch).expect("in budget");
+                s.tick(&eng, &default_params, &mut scratch)
+                    .expect("in budget");
             }
             s.fingerprint()
         });
@@ -687,8 +690,7 @@ mod tests {
         };
         // Fault window ends at t=3: blame must be assigned during the
         // fault and cleared once the session settles back to nominal.
-        let spec =
-            SessionSpec::new(9, 5).with_fault(FaultSchedule::Windows(vec![(1.0, 3.0)]));
+        let spec = SessionSpec::new(9, 5).with_fault(FaultSchedule::Windows(vec![(1.0, 3.0)]));
         let mut s = VehicleSession::new(spec, &eng, &params);
         let mut scratch = ShardScratch::for_engine(&eng);
         let mut blamed_during = false;
@@ -718,12 +720,14 @@ mod tests {
             }
         }
         assert!(
-            matches!(err, Some(MissionError::StepBudgetExhausted { budget: 10, .. })),
+            matches!(
+                err,
+                Some(MissionError::StepBudgetExhausted { budget: 10, .. })
+            ),
             "got {err:?}"
         );
         // Deadline variant.
-        let spec =
-            SessionSpec::new(2, 1).with_budget(MissionBudget::default().with_deadline(0.05));
+        let spec = SessionSpec::new(2, 1).with_budget(MissionBudget::default().with_deadline(0.05));
         let mut s = VehicleSession::new(spec, &eng, &params);
         let mut err = None;
         for _ in 0..20 {

@@ -235,7 +235,8 @@ impl Shard {
         params: &SessionParams,
     ) -> Result<Admission, AdmissionError> {
         if self.has_room() && self.pending.is_empty() {
-            self.sessions.push(VehicleSession::new(spec, engine, params));
+            self.sessions
+                .push(VehicleSession::new(spec, engine, params));
             Ok(Admission::Admitted { shard: self.index })
         } else if self.pending.len() < self.pending_capacity {
             self.pending.push_back(spec);
@@ -271,7 +272,8 @@ impl Shard {
         while self.has_room() {
             match self.pending.pop_front() {
                 Some(spec) => {
-                    self.sessions.push(VehicleSession::new(spec, engine, params));
+                    self.sessions
+                        .push(VehicleSession::new(spec, engine, params));
                     stats.admitted_from_queue += 1;
                 }
                 None => break,
@@ -350,7 +352,10 @@ impl Shard {
         params: &SessionParams,
         stats: &mut ShardTickStats,
     ) {
-        let state = self.batch.as_mut().expect("tick_batched without batch state");
+        let state = self
+            .batch
+            .as_mut()
+            .expect("tick_batched without batch state");
         let sessions = &mut self.sessions;
         let shard_scratch = &mut self.scratch;
         let dim = engine.config().input_dim;

@@ -2,9 +2,7 @@
 //! worker and shard counts, and typed, non-blocking admission control.
 
 use pidpiper_faults::FaultSchedule;
-use pidpiper_fleet::{
-    Admission, AdmissionError, FleetConfig, FleetEngine, SessionSpec,
-};
+use pidpiper_fleet::{Admission, AdmissionError, FleetConfig, FleetEngine, SessionSpec};
 use pidpiper_missions::MissionBudget;
 
 const SEED: u64 = 99;
@@ -61,7 +59,10 @@ fn fingerprints_invariant_across_worker_counts() {
         );
     }
     // Retirements happened and their timing agreed too.
-    assert!(serial.stats().retired > 0, "budget mix must retire sessions");
+    assert!(
+        serial.stats().retired > 0,
+        "budget mix must retire sessions"
+    );
     assert_eq!(serial.stats().join_failures, 0);
 }
 
@@ -147,8 +148,8 @@ fn queued_sessions_admitted_after_retirement() {
     );
     // Two resident sessions with a 5-tick budget, two queued behind them.
     for id in 0..2u64 {
-        let s = SessionSpec::new(id, id + 1)
-            .with_budget(MissionBudget::default().with_step_budget(5));
+        let s =
+            SessionSpec::new(id, id + 1).with_budget(MissionBudget::default().with_step_budget(5));
         assert!(matches!(engine.submit(s), Ok(Admission::Admitted { .. })));
     }
     for id in 2..4u64 {

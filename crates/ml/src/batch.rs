@@ -117,7 +117,11 @@ impl BatchScratch {
     /// Panics if `lane >= width` or the row has the wrong dimension.
     pub fn load_row(&mut self, lane: usize, normed: &[f64]) {
         assert!(lane < self.width, "lane {lane} >= width {}", self.width);
-        assert_eq!(normed.len() * self.width, self.x.len(), "row dimension mismatch");
+        assert_eq!(
+            normed.len() * self.width,
+            self.x.len(),
+            "row dimension mismatch"
+        );
         for (j, &v) in normed.iter().enumerate() {
             self.x[j * self.width + lane] = v;
         }
@@ -132,7 +136,11 @@ impl BatchScratch {
     /// differently-sized engine.
     pub fn load_state(&mut self, lane: usize, state: &StreamState) {
         assert!(lane < self.width, "lane {lane} >= width {}", self.width);
-        assert_eq!(state.h1.len() * self.width, self.h1.len(), "state dimension mismatch");
+        assert_eq!(
+            state.h1.len() * self.width,
+            self.h1.len(),
+            "state dimension mismatch"
+        );
         let w = self.width;
         for (j, &v) in state.h1.iter().enumerate() {
             self.h1[j * w + lane] = v;
@@ -157,7 +165,11 @@ impl BatchScratch {
     /// differently-sized engine.
     pub fn store_state(&self, lane: usize, state: &mut StreamState) {
         assert!(lane < self.width, "lane {lane} >= width {}", self.width);
-        assert_eq!(state.h1.len() * self.width, self.h1.len(), "state dimension mismatch");
+        assert_eq!(
+            state.h1.len() * self.width,
+            self.h1.len(),
+            "state dimension mismatch"
+        );
         let w = self.width;
         for (j, v) in state.h1.iter_mut().enumerate() {
             *v = self.h1[j * w + lane];
@@ -180,7 +192,11 @@ impl BatchScratch {
     /// Panics if `lane >= width` or `out` has the wrong dimension.
     pub fn read_output(&self, lane: usize, out: &mut [f64]) {
         assert!(lane < self.width, "lane {lane} >= width {}", self.width);
-        assert_eq!(out.len() * self.width, self.out.len(), "output dimension mismatch");
+        assert_eq!(
+            out.len() * self.width,
+            self.out.len(),
+            "output dimension mismatch"
+        );
         for (r, o) in out.iter_mut().enumerate() {
             *o = self.out[r * self.width + lane];
         }
@@ -206,12 +222,18 @@ impl BatchScratch {
         }
         let rows = if n == 0 { 0 } else { states[0].h1.len() };
         for j in 0..rows {
-            let (h1, c1) = (&mut self.h1[j * w..j * w + n], &mut self.c1[j * w..j * w + n]);
+            let (h1, c1) = (
+                &mut self.h1[j * w..j * w + n],
+                &mut self.c1[j * w..j * w + n],
+            );
             for (lane, s) in states.iter().enumerate() {
                 h1[lane] = s.h1[j];
                 c1[lane] = s.c1[j];
             }
-            let (h2, c2) = (&mut self.h2[j * w..j * w + n], &mut self.c2[j * w..j * w + n]);
+            let (h2, c2) = (
+                &mut self.h2[j * w..j * w + n],
+                &mut self.c2[j * w..j * w + n],
+            );
             for (lane, s) in states.iter().enumerate() {
                 h2[lane] = s.h2[j];
                 c2[lane] = s.c2[j];
@@ -293,7 +315,6 @@ impl BatchScratch {
             }
         }
     }
-
 }
 
 /// The batched deployment form of a compiled [`StreamingRegressor`].
@@ -369,7 +390,11 @@ impl BatchedStreamingRegressor {
     ///
     /// Panics if `n > scratch.width()`.
     pub fn step_batch(&self, scratch: &mut BatchScratch, n: usize) {
-        assert!(n <= scratch.width, "n={n} exceeds scratch width {}", scratch.width);
+        assert!(
+            n <= scratch.width,
+            "n={n} exceeds scratch width {}",
+            scratch.width
+        );
         let w = scratch.width;
         // Wide batches run in COL_BLOCK-lane column windows so the
         // active pre-activation slab stays cache-resident; lanes are
@@ -411,16 +436,44 @@ impl BatchedStreamingRegressor {
     ///
     /// Panics if `n > scratch.width()`.
     pub fn finish_batch(&self, scratch: &mut BatchScratch, n: usize) {
-        assert!(n <= scratch.width, "n={n} exceeds scratch width {}", scratch.width);
+        assert!(
+            n <= scratch.width,
+            "n={n} exceeds scratch width {}",
+            scratch.width
+        );
         let w = scratch.width;
         // Same column windowing as `step_batch` (see the comment there).
         let mut off = 0;
         while off < n {
             let nb = (n - off).min(COL_BLOCK);
-            dense_panel(&self.engine.fc_sigmoid, &scratch.h2[off..], &mut scratch.fc_a[off..], w, nb);
-            dense_panel(&self.engine.fc_prelu1, &scratch.fc_a[off..], &mut scratch.fc_b[off..], w, nb);
-            dense_panel(&self.engine.fc_prelu2, &scratch.fc_b[off..], &mut scratch.fc_a[off..], w, nb);
-            dense_panel(&self.engine.head, &scratch.fc_a[off..], &mut scratch.z[off..], w, nb);
+            dense_panel(
+                &self.engine.fc_sigmoid,
+                &scratch.h2[off..],
+                &mut scratch.fc_a[off..],
+                w,
+                nb,
+            );
+            dense_panel(
+                &self.engine.fc_prelu1,
+                &scratch.fc_a[off..],
+                &mut scratch.fc_b[off..],
+                w,
+                nb,
+            );
+            dense_panel(
+                &self.engine.fc_prelu2,
+                &scratch.fc_b[off..],
+                &mut scratch.fc_a[off..],
+                w,
+                nb,
+            );
+            dense_panel(
+                &self.engine.head,
+                &scratch.fc_a[off..],
+                &mut scratch.z[off..],
+                w,
+                nb,
+            );
             inverse_panel(
                 &self.engine.target_normalizer,
                 &scratch.z[off..],
@@ -454,7 +507,11 @@ impl BatchedStreamingRegressor {
     ) -> Result<(), PredictError> {
         let c = &self.engine.config;
         let n = windows.len();
-        assert!(n <= scratch.width, "{n} windows exceed scratch width {}", scratch.width);
+        assert!(
+            n <= scratch.width,
+            "{n} windows exceed scratch width {}",
+            scratch.width
+        );
         for window in windows {
             if window.len() != c.window {
                 return Err(PredictError::WindowLength {
@@ -483,7 +540,9 @@ impl BatchedStreamingRegressor {
         let mut normed = std::mem::take(&mut scratch.normed);
         for t in 0..c.window {
             for (lane, window) in windows.iter().enumerate() {
-                self.engine.normalizer.transform_into(&window[t], &mut normed);
+                self.engine
+                    .normalizer
+                    .transform_into(&window[t], &mut normed);
                 scratch.load_row(lane, &normed);
             }
             self.step_batch(scratch, n);
@@ -495,7 +554,6 @@ impl BatchedStreamingRegressor {
         }
         Ok(())
     }
-
 }
 
 /// One batched [`FusedLstm`] cell update over `n` lanes: the two-pass
@@ -529,7 +587,8 @@ fn lstm_step_panel(
     // (`h = o * tanh(f*c' + i*g)`).
     for j in 0..hd {
         for c in 0..n {
-            let cj = pre[(hd + j) * w + c] * cp[j * w + c] + pre[j * w + c] * pre[(3 * hd + j) * w + c];
+            let cj =
+                pre[(hd + j) * w + c] * cp[j * w + c] + pre[j * w + c] * pre[(3 * hd + j) * w + c];
             cp[j * w + c] = cj;
             hp[j * w + c] = cj;
         }
@@ -598,10 +657,13 @@ mod tests {
     fn batched_lane_matches_streaming_bitwise() {
         let e = engine();
         let b = BatchedStreamingRegressor::compile(&e);
-        let windows: Vec<_> = (0..5).map(|i| window_for(e.config(), i as f64 * 0.7)).collect();
+        let windows: Vec<_> = (0..5)
+            .map(|i| window_for(e.config(), i as f64 * 0.7))
+            .collect();
         let mut scratch = b.scratch(8);
         let mut out = vec![0.0; 5];
-        b.predict_windows_into(&windows, &mut scratch, &mut out).expect("valid");
+        b.predict_windows_into(&windows, &mut scratch, &mut out)
+            .expect("valid");
         let mut solo = e.scratch();
         let mut one = [0.0];
         for (lane, w) in windows.iter().enumerate() {
@@ -644,7 +706,9 @@ mod tests {
                 s
             })
             .collect();
-        let rows: Vec<Vec<f64>> = (0..3).map(|i| vec![0.2 * i as f64, 0.7 - i as f64]).collect();
+        let rows: Vec<Vec<f64>> = (0..3)
+            .map(|i| vec![0.2 * i as f64, 0.7 - i as f64])
+            .collect();
         let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
 
         let mut bulk = b.scratch(8);
@@ -667,7 +731,11 @@ mod tests {
         bulk.store_states(&mut got_states);
         for lane in 0..3 {
             per_lane.read_output(lane, &mut want);
-            assert_eq!(bulk_out[lane].to_bits(), want[0].to_bits(), "output lane {lane}");
+            assert_eq!(
+                bulk_out[lane].to_bits(),
+                want[0].to_bits(),
+                "output lane {lane}"
+            );
             let mut s = e.state();
             per_lane.store_state(lane, &mut s);
             assert_eq!(got_states[lane], s, "state lane {lane}");

@@ -134,12 +134,7 @@ impl WindowedDataset {
         if k <= 1 {
             return;
         }
-        self.samples = self
-            .samples
-            .iter()
-            .step_by(k)
-            .cloned()
-            .collect();
+        self.samples = self.samples.iter().step_by(k).cloned().collect();
     }
 }
 

@@ -142,10 +142,7 @@ impl Dense {
     ///
     /// Panics if called before [`Dense::forward`].
     pub fn backward(&mut self, dy: &[f64]) -> Vec<f64> {
-        assert!(
-            !self.cache_x.is_empty(),
-            "backward called before forward"
-        );
+        assert!(!self.cache_x.is_empty(), "backward called before forward");
         let out = self.output_dim();
         debug_assert_eq!(dy.len(), out);
         let mut dpre = vec![0.0; out];

@@ -38,7 +38,6 @@
 //! Everything is deterministic given a seed, in `f64`.
 
 #![deny(missing_docs)]
-
 // Matrix/gradient kernels index rows and columns of several arrays with
 // one shared loop variable; iterator rewrites obscure the math.
 #![allow(clippy::needless_range_loop)]

@@ -312,7 +312,12 @@ mod tests {
     fn bptt_gradcheck_weights() {
         let mut rng = StdRng::seed_from_u64(11);
         let mut lstm = LstmLayer::new(2, 3, &mut rng);
-        let xs = vec![vec![0.5, -0.3], vec![-0.2, 0.8], vec![0.1, 0.1], vec![0.9, -0.9]];
+        let xs = vec![
+            vec![0.5, -0.3],
+            vec![-0.2, 0.8],
+            vec![0.1, 0.1],
+            vec![0.9, -0.9],
+        ];
         let target = vec![0.2, -0.1, 0.3];
 
         let hs = lstm.forward_seq(&xs);
@@ -356,7 +361,8 @@ mod tests {
             set(&mut plus, param_idx, idx, orig + eps);
             let mut minus = lstm.clone();
             set(&mut minus, param_idx, idx, orig - eps);
-            let num = (seq_loss(&plus, &xs, &target) - seq_loss(&minus, &xs, &target)) / (2.0 * eps);
+            let num =
+                (seq_loss(&plus, &xs, &target) - seq_loss(&minus, &xs, &target)) / (2.0 * eps);
             assert!(
                 (num - grad).abs() < 1e-5 * (1.0 + num.abs()),
                 "param {param_idx}[{idx}]: numeric {num} vs analytic {grad}"
@@ -370,8 +376,8 @@ mod tests {
                 plus[t][k] += eps;
                 let mut minus = xs.clone();
                 minus[t][k] -= eps;
-                let num =
-                    (seq_loss(&lstm, &plus, &target) - seq_loss(&lstm, &minus, &target)) / (2.0 * eps);
+                let num = (seq_loss(&lstm, &plus, &target) - seq_loss(&lstm, &minus, &target))
+                    / (2.0 * eps);
                 assert!(
                     (num - dxs[t][k]).abs() < 1e-5 * (1.0 + num.abs()),
                     "x[{t}][{k}]: numeric {num} vs analytic {}",
@@ -396,7 +402,9 @@ mod tests {
         // h = o * tanh(c) with o in (0,1) and tanh in (-1,1): |h| < 1.
         let mut rng = StdRng::seed_from_u64(9);
         let mut lstm = LstmLayer::new(1, 5, &mut rng);
-        let xs: Vec<Vec<f64>> = (0..200).map(|i| vec![(i as f64 * 17.0).sin() * 100.0]).collect();
+        let xs: Vec<Vec<f64>> = (0..200)
+            .map(|i| vec![(i as f64 * 17.0).sin() * 100.0])
+            .collect();
         for h in lstm.forward_seq(&xs) {
             for v in h {
                 assert!(v.abs() < 1.0, "hidden state {v} out of bounds");

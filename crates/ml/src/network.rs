@@ -129,10 +129,30 @@ impl LstmRegressor {
         LstmRegressor {
             lstm1: LstmLayer::new(config.input_dim, config.hidden, &mut rng),
             lstm2: LstmLayer::new(config.hidden, config.hidden, &mut rng),
-            fc_sigmoid: Dense::new(config.hidden, config.fc_width, Activation::Sigmoid, &mut rng),
-            fc_prelu1: Dense::new(config.fc_width, config.fc_width, Activation::PRelu, &mut rng),
-            fc_prelu2: Dense::new(config.fc_width, config.fc_width, Activation::PRelu, &mut rng),
-            head: Dense::new(config.fc_width, config.output_dim, Activation::Linear, &mut rng),
+            fc_sigmoid: Dense::new(
+                config.hidden,
+                config.fc_width,
+                Activation::Sigmoid,
+                &mut rng,
+            ),
+            fc_prelu1: Dense::new(
+                config.fc_width,
+                config.fc_width,
+                Activation::PRelu,
+                &mut rng,
+            ),
+            fc_prelu2: Dense::new(
+                config.fc_width,
+                config.fc_width,
+                Activation::PRelu,
+                &mut rng,
+            ),
+            head: Dense::new(
+                config.fc_width,
+                config.output_dim,
+                Activation::Linear,
+                &mut rng,
+            ),
             normalizer: Normalizer::identity(config.input_dim),
             target_normalizer: Normalizer::identity(config.output_dim),
             config,
@@ -161,7 +181,12 @@ impl LstmRegressor {
 
     /// The dense stack: sigmoid FC, both PReLU FCs, linear head.
     pub(crate) fn dense_stack(&self) -> (&Dense, &Dense, &Dense, &Dense) {
-        (&self.fc_sigmoid, &self.fc_prelu1, &self.fc_prelu2, &self.head)
+        (
+            &self.fc_sigmoid,
+            &self.fc_prelu1,
+            &self.fc_prelu2,
+            &self.head,
+        )
     }
 
     /// Compiles the network into its allocation-free streaming form (see
@@ -275,7 +300,10 @@ impl LstmRegressor {
             .iter()
             .map(|s| {
                 (
-                    s.window.iter().map(|x| self.normalizer.transform(x)).collect(),
+                    s.window
+                        .iter()
+                        .map(|x| self.normalizer.transform(x))
+                        .collect(),
                     self.target_normalizer.transform(&s.target),
                 )
             })
@@ -349,7 +377,10 @@ impl LstmRegressor {
                 });
             }
         }
-        let normed: Vec<Vec<f64>> = window.iter().map(|x| self.normalizer.transform(x)).collect();
+        let normed: Vec<Vec<f64>> = window
+            .iter()
+            .map(|x| self.normalizer.transform(x))
+            .collect();
         let mut s1 = LstmState::zeros(self.config.hidden);
         let mut s2 = LstmState::zeros(self.config.hidden);
         for x in &normed {

@@ -180,7 +180,9 @@ mod tests {
 
     #[test]
     fn transformed_training_data_standardized() {
-        let data: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64, 3.0 * i as f64 + 7.0]).collect();
+        let data: Vec<Vec<f64>> = (0..100)
+            .map(|i| vec![i as f64, 3.0 * i as f64 + 7.0])
+            .collect();
         let n = Normalizer::fit(&data);
         let z: Vec<Vec<f64>> = data.iter().map(|r| n.transform(r)).collect();
         for c in 0..2 {

@@ -85,11 +85,7 @@ where
 /// # Panics
 ///
 /// Panics if `observations` has fewer than 3 rows.
-pub fn vif_prune(
-    observations: &Matrix,
-    vif_threshold: f64,
-    protected: &[usize],
-) -> Vec<usize> {
+pub fn vif_prune(observations: &Matrix, vif_threshold: f64, protected: &[usize]) -> Vec<usize> {
     assert!(observations.rows() >= 3, "need at least 3 observations");
     let n = observations.cols();
     let mut retained: Vec<usize> = (0..n).collect();
@@ -131,13 +127,18 @@ mod tests {
     #[test]
     fn greedy_stops_at_saturation() {
         // Only feature 1 helps; adding anything else changes nothing.
-        let selected = greedy_forward_selection(5, 0.01, |subset| {
-            if subset.contains(&1) {
-                1.0
-            } else {
-                5.0
-            }
-        });
+        let selected =
+            greedy_forward_selection(
+                5,
+                0.01,
+                |subset| {
+                    if subset.contains(&1) {
+                        1.0
+                    } else {
+                        5.0
+                    }
+                },
+            );
         assert_eq!(selected, vec![1], "selection should stop after saturation");
     }
 
@@ -157,7 +158,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         let n = 300;
         let a: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0_f64)).collect();
-        let b: Vec<f64> = a.iter().map(|x| 2.0 * x + rng.gen_range(-0.01..0.01)).collect();
+        let b: Vec<f64> = a
+            .iter()
+            .map(|x| 2.0 * x + rng.gen_range(-0.01..0.01))
+            .collect();
         let c: Vec<f64> = (0..n).map(|_| rng.gen_range(-1.0..1.0_f64)).collect();
         let rows: Vec<Vec<f64>> = (0..n).map(|i| vec![a[i], b[i], c[i]]).collect();
         let m = Matrix::from_rows(&rows);

@@ -230,8 +230,7 @@ impl StreamState {
     /// Heap bytes held by this state: the four hidden-sized `f64`
     /// vectors (`4 * hidden * 8`). Used by fleet capacity planning.
     pub fn resident_bytes(&self) -> usize {
-        (self.h1.len() + self.c1.len() + self.h2.len() + self.c2.len())
-            * std::mem::size_of::<f64>()
+        (self.h1.len() + self.c1.len() + self.h2.len() + self.c2.len()) * std::mem::size_of::<f64>()
     }
 }
 
@@ -593,9 +592,7 @@ impl StreamingRegressor {
                 expected: self.config.output_dim,
             });
         }
-        let InferenceScratch {
-            fc_a, fc_b, z, ..
-        } = scratch;
+        let InferenceScratch { fc_a, fc_b, z, .. } = scratch;
         self.finish_raw(state, fc_a, fc_b, z, out);
         Ok(())
     }
@@ -718,7 +715,9 @@ mod tests {
         for salt in [0.0, 1.3, -2.7] {
             let w = window_for(&model, salt);
             let reference = model.predict(&w).expect("valid window");
-            engine.predict_into(&w, &mut scratch, &mut out).expect("valid window");
+            engine
+                .predict_into(&w, &mut scratch, &mut out)
+                .expect("valid window");
             for (a, b) in out.iter().zip(&reference) {
                 assert_eq!(a.to_bits(), b.to_bits(), "bit mismatch: {a} vs {b}");
             }
@@ -733,11 +732,17 @@ mod tests {
         let w = window_for(&model, 0.4);
         let mut first = vec![0.0; 1];
         let mut second = vec![0.0; 1];
-        engine.predict_into(&w, &mut scratch, &mut first).expect("valid");
+        engine
+            .predict_into(&w, &mut scratch, &mut first)
+            .expect("valid");
         // A different window in between must not leak into the repeat.
         let other = window_for(&model, 9.9);
-        engine.predict_into(&other, &mut scratch, &mut second).expect("valid");
-        engine.predict_into(&w, &mut scratch, &mut second).expect("valid");
+        engine
+            .predict_into(&other, &mut scratch, &mut second)
+            .expect("valid");
+        engine
+            .predict_into(&w, &mut scratch, &mut second)
+            .expect("valid");
         assert_eq!(first[0].to_bits(), second[0].to_bits());
     }
 
@@ -748,16 +753,22 @@ mod tests {
         let mut scratch = engine.scratch();
         let w = window_for(&model, 2.2);
         let mut whole = vec![0.0; 1];
-        engine.predict_into(&w, &mut scratch, &mut whole).expect("valid");
+        engine
+            .predict_into(&w, &mut scratch, &mut whole)
+            .expect("valid");
 
         let mut state = engine.state();
         let mut normed = vec![0.0; engine.config().input_dim];
         for row in &w {
             engine.normalize_into(row, &mut normed).expect("dims");
-            engine.step_normed(&normed, &mut state, &mut scratch).expect("dims");
+            engine
+                .step_normed(&normed, &mut state, &mut scratch)
+                .expect("dims");
         }
         let mut inc = vec![0.0; 1];
-        engine.finish_into(&state, &mut scratch, &mut inc).expect("dims");
+        engine
+            .finish_into(&state, &mut scratch, &mut inc)
+            .expect("dims");
         assert_eq!(whole[0].to_bits(), inc[0].to_bits());
     }
 
@@ -840,8 +851,12 @@ mod tests {
         let mut scratch = engine.scratch();
         let mut state = engine.state();
         let mut normed = vec![0.0; 2];
-        engine.normalize_into(&[1.0, -1.0], &mut normed).expect("dims");
-        engine.step_normed(&normed, &mut state, &mut scratch).expect("dims");
+        engine
+            .normalize_into(&[1.0, -1.0], &mut normed)
+            .expect("dims");
+        engine
+            .step_normed(&normed, &mut state, &mut scratch)
+            .expect("dims");
         let mut copy = engine.state();
         copy.copy_from(&state);
         assert_eq!(copy, state);
