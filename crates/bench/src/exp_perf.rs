@@ -169,7 +169,8 @@ fn batch_fixture(
 }
 
 /// Runs `ticks` fleet-shaped batched iterations (gather, GEMM step +
-/// finish, scatter) over `states`, mutating them in place.
+/// finish, scatter, through the per-lane forms a fleet shard uses) over
+/// `states`, mutating them in place.
 fn batched_ticks(
     batched: &BatchedStreamingRegressor,
     scratch: &mut pidpiper_ml::BatchScratch,
@@ -180,18 +181,18 @@ fn batched_ticks(
     ticks: usize,
 ) {
     let n = states.len();
-    // Reused per-tick row-reference table for the bulk gather (allocated
-    // once per run, outside the timed tick loop's steady state).
-    let mut rows: Vec<&[f64]> = Vec::with_capacity(n);
+    let odim = out.len() / n.max(1);
     for t in start..start + ticks {
-        rows.clear();
-        rows.extend((0..n).map(|lane| pool[(t + lane) % ROW_POOL].as_slice()));
-        scratch.load_states(states);
-        scratch.load_rows(&rows);
+        for (lane, s) in states.iter().enumerate() {
+            scratch.load_state(lane, s);
+            scratch.load_row(lane, &pool[(t + lane) % ROW_POOL]);
+        }
         batched.step_batch(scratch, n);
         batched.finish_batch(scratch, n);
-        scratch.store_states(states);
-        scratch.read_outputs(out);
+        for (lane, s) in states.iter_mut().enumerate() {
+            scratch.store_state(lane, s);
+            scratch.read_output(lane, &mut out[lane * odim..(lane + 1) * odim]);
+        }
         black_box(&mut *out);
     }
 }

@@ -242,8 +242,8 @@ fn fingerprints_match(a: &FleetEngine, b: &FleetEngine) -> bool {
 
 /// Runs the reduced determinism gate: the same batched session mix under
 /// (1 worker), (several workers) and (different shard count), plus the
-/// per-session reference loop, must yield bit-identical per-session
-/// fingerprints, including retirement timing.
+/// per-session reference kernel ([`FleetBatch::PerSession`]), must yield
+/// bit-identical per-session fingerprints, including retirement timing.
 pub fn run_gate(cfg: &FleetBenchConfig) -> DeterminismGate {
     let gate_sessions = cfg.sessions.min(512);
     let gate_ticks = cfg.ticks.clamp(5, 30);

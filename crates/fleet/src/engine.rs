@@ -9,15 +9,19 @@ use pidpiper_ml::{BatchedStreamingRegressor, LstmRegressor, RegressorConfig, Str
 use crate::session::{SessionParams, SessionSpec};
 use crate::shard::{Admission, AdmissionError, RetiredSession, Shard, ShardTickStats};
 
-/// How shards run their sessions' inference each tick.
+/// Which inference kernel the shard tick loop calls.
 ///
-/// Both modes produce bit-identical session fingerprints. Fleets run
-/// [`FleetBatch::Batched`]; [`FleetBatch::PerSession`] is the reference
-/// loop the bench's `batch_invariant` gate and the engine tests compare
-/// the batched path against.
+/// The mode picks only the kernel for the live prediction and for the
+/// prefix replays; the rest of a tick (prologue, epilogue, deferred
+/// replays, retirement) is one loop. Both modes produce bit-identical
+/// session fingerprints. Fleets run [`FleetBatch::Batched`];
+/// [`FleetBatch::PerSession`] calls the per-session
+/// [`StreamingRegressor`] kernels, the reference the bench's
+/// `batch_invariant` gate and the engine tests compare the batched
+/// kernels against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FleetBatch {
-    /// One matrix–vector streaming pass per session (the PR-5 loop).
+    /// One matrix–vector streaming pass per session.
     PerSession,
     /// Cache-blocked matrix–matrix kernels over lanes of up to 64
     /// sessions (`shard::BATCH_WIDTH`) sharing the shard's model (the
@@ -60,8 +64,8 @@ pub struct FleetConfig {
     pub shard_cost_budget: u64,
     /// Per-session tick parameters (CUSUM, supervisor, fault bias …).
     pub session: SessionParams,
-    /// Inference mode per shard tick. Bit-identical either way; batched
-    /// is the default.
+    /// Inference kernel per shard tick. Bit-identical either way;
+    /// batched is the default.
     pub batch: FleetBatch,
 }
 
@@ -114,8 +118,9 @@ pub struct FleetStats {
 
 /// The sharded session scheduler.
 ///
-/// One engine owns one compiled [`StreamingRegressor`] (shared by every
-/// session), `shards` independent shards, and the cumulative
+/// One engine owns one compiled model (a [`BatchedStreamingRegressor`],
+/// whose [`StreamingRegressor`] every session shares), `shards`
+/// independent shards, and the cumulative
 /// [`FleetStats`]. See the "Fleet engine" section of `ARCHITECTURE.md`
 /// for the lifecycle diagram and `OPERATIONS.md` for the operator guide.
 ///
@@ -131,10 +136,7 @@ pub struct FleetStats {
 #[derive(Debug)]
 pub struct FleetEngine {
     config: FleetConfig,
-    model: StreamingRegressor,
-    /// The batched form of `model`; `None` under
-    /// [`FleetBatch::PerSession`].
-    batched: Option<BatchedStreamingRegressor>,
+    model: BatchedStreamingRegressor,
     session_cost: u64,
     shards: Vec<Shard>,
     ticks: u64,
@@ -148,10 +150,7 @@ impl FleetEngine {
         let c = model.config();
         let session_cost =
             1 + ((c.window - 1) as u64).div_ceil(config.session.decimate.max(1) as u64);
-        let batched = match config.batch {
-            FleetBatch::Batched => Some(BatchedStreamingRegressor::compile(&model)),
-            FleetBatch::PerSession => None,
-        };
+        let model = BatchedStreamingRegressor::compile(&model);
         let shards = (0..config.shards)
             .map(|i| {
                 Shard::new(
@@ -161,14 +160,12 @@ impl FleetEngine {
                     config.shard_cost_budget,
                     session_cost,
                     &model,
-                    batched.as_ref(),
                 )
             })
             .collect();
         FleetEngine {
             config,
             model,
-            batched,
             session_cost,
             shards,
             ticks: 0,
@@ -197,7 +194,7 @@ impl FleetEngine {
 
     /// The shared inference engine.
     pub fn model(&self) -> &StreamingRegressor {
-        &self.model
+        self.model.engine()
     }
 
     /// Deterministic cost of one session tick, in cost units.
@@ -227,20 +224,20 @@ impl FleetEngine {
 
     /// Marginal resident bytes of one session: the streaming state the ml
     /// layer accounts ([`StreamingRegressor::session_state_bytes`]), the
-    /// session struct itself (spec, CUSUMs, supervisor, counters), and —
-    /// under [`FleetBatch::Batched`] — the shard's batched working set
-    /// (64-lane panels plus staging) amortized over the
-    /// shard's session capacity, so `bytes_per_session` stays honest
-    /// about everything a resident session costs.
+    /// session struct itself (spec, CUSUMs, supervisor, counters), and
+    /// the shard's working set (64-lane panels plus staging, the same in
+    /// either [`FleetBatch`] mode) amortized over the shard's session
+    /// capacity, so `bytes_per_session` stays honest about what a
+    /// resident session costs.
     pub fn bytes_per_session(&self) -> usize {
-        let batch_scratch = self
+        let shard_share = self
             .shards
             .first()
             .map_or(0, Shard::batch_bytes)
             .div_ceil(self.config.shard_capacity.max(1));
-        self.model.session_state_bytes()
+        self.model().session_state_bytes()
             + std::mem::size_of::<crate::session::VehicleSession>()
-            + batch_scratch
+            + shard_share
     }
 
     /// Submits one session to its home shard (`spec.id % shards`).
@@ -255,7 +252,7 @@ impl FleetEngine {
     pub fn submit(&mut self, spec: SessionSpec) -> Result<Admission, AdmissionError> {
         self.stats.submitted += 1;
         let shard = (spec.id % self.shards.len() as u64) as usize;
-        let outcome = self.shards[shard].submit(spec, &self.model, &self.config.session);
+        let outcome = self.shards[shard].submit(spec, self.model.engine(), &self.config.session);
         match &outcome {
             Ok(Admission::Admitted { .. }) => self.stats.admitted += 1,
             Ok(Admission::Queued { .. }) => self.stats.queued += 1,
@@ -270,13 +267,12 @@ impl FleetEngine {
     pub fn tick(&mut self) -> ShardTickStats {
         let workers = self.config.workers.min(self.shards.len()).max(1);
         let model = &self.model;
-        let batched = self.batched.as_ref();
-        let params = &self.config.session;
+        let (params, batch) = (&self.config.session, self.config.batch);
         let mut merged = ShardTickStats::default();
         let mut join_failures = 0u64;
         if workers == 1 {
             for shard in &mut self.shards {
-                merged.merge(&shard.tick(model, params, batched));
+                merged.merge(&shard.tick(model, params, batch));
             }
         } else {
             let chunk = self.shards.len().div_ceil(workers);
@@ -289,7 +285,7 @@ impl FleetEngine {
                         scope.spawn(move || {
                             let mut acc = ShardTickStats::default();
                             for shard in chunk {
-                                acc.merge(&shard.tick(model, params, batched));
+                                acc.merge(&shard.tick(model, params, batch));
                             }
                             acc
                         })
@@ -458,28 +454,25 @@ mod tests {
 
     #[test]
     fn batch_scratch_is_amortized_into_bytes_per_session() {
-        let scalar = FleetEngine::with_synthetic_model(
-            FleetConfig {
-                batch: FleetBatch::PerSession,
+        let build = |batch| {
+            let config = FleetConfig {
+                batch,
                 ..FleetConfig::default()
-            },
-            7,
-        );
-        let batched = FleetEngine::with_synthetic_model(
-            FleetConfig {
-                batch: FleetBatch::Batched,
-                ..FleetConfig::default()
-            },
-            7,
-        );
-        let a = scalar.bytes_per_session();
+            };
+            FleetEngine::with_synthetic_model(config, 7)
+        };
+        let batched = build(FleetBatch::Batched);
         let b = batched.bytes_per_session();
+        let session_only = batched.model().session_state_bytes()
+            + std::mem::size_of::<crate::session::VehicleSession>();
         assert!(
-            b > a,
-            "batched accounting must include the amortized scratch"
+            b > session_only,
+            "accounting must include the amortized shard working set"
         );
+        // Both modes tick through the same working set.
+        assert_eq!(build(FleetBatch::PerSession).bytes_per_session(), b);
         // The ~5 KB/session budget from OPERATIONS.md holds with the
-        // batch scratch amortized in.
+        // working set amortized in.
         assert!(b < 5 * 1024, "session must stay under ~5 KB, got {b}");
     }
 

@@ -13,10 +13,11 @@
 //!   prefix stream state, EMA baseline, CUSUMs, supervisor, fingerprint.
 //! - Shard-level scheduling ([`shard`], crate-internal) — sessions pin to
 //!   `id % shards` for life; each shard owns its sessions, its pending
-//!   queue, its quarantine, and one heavy scratch buffer.
+//!   queue, its quarantine, and one working set, and runs one tick loop
+//!   whose [`FleetBatch`] mode picks only the inference kernel.
 //! - [`engine::FleetEngine`] — the scheduler: one shared compiled
-//!   [`StreamingRegressor`](pidpiper_ml::StreamingRegressor), S shards,
-//!   steal-free contiguous shard ranges per worker.
+//!   [`BatchedStreamingRegressor`](pidpiper_ml::BatchedStreamingRegressor),
+//!   S shards, steal-free contiguous shard ranges per worker.
 //! - [`mod@bench`] — the `BENCH_fleet.json` producer behind the
 //!   `pidpiper-fleet` binary.
 //!

@@ -10,7 +10,11 @@
 //! over a deterministic synthetic flight. Everything heavy — engine weights,
 //! inference scratch, live `StreamState` — is shared per shard, so the
 //! marginal cost of one more session is a few kilobytes (see
-//! [`VehicleSession::resident_bytes`]).
+//! [`FleetEngine::bytes_per_session`]). Sessions have no tick of their
+//! own: the shard's tick loop runs each session's prologue, inference and
+//! epilogue over a chunk of sessions at a time.
+//!
+//! [`FleetEngine::bytes_per_session`]: crate::FleetEngine::bytes_per_session
 //!
 //! [`MissionRunner`]: pidpiper_missions::MissionRunner
 
@@ -22,13 +26,13 @@ use pidpiper_math::{Cusum, Vec3};
 use pidpiper_missions::{
     Fingerprint, FlightPhase, HealthState, MissionBudget, MissionError, MissionSpec, StrategyKind,
 };
-use pidpiper_ml::{InferenceScratch, StreamHistory, StreamState, StreamingRegressor};
+use pidpiper_ml::{StreamHistory, StreamingRegressor};
 
 /// What [`VehicleSession::begin_tick`] established before inference: the
 /// simulated time, whether the fault schedule is active, and whether the
 /// feature row normalized cleanly (it always does for engine-shaped
 /// buffers; on the impossible mismatch the session holds its previous
-/// prediction, exactly like the monolithic tick path).
+/// prediction).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TickPrologue {
     t: f64,
@@ -151,34 +155,6 @@ impl Default for SessionParams {
     }
 }
 
-/// Heavy per-shard working set shared by all of a shard's sessions: the
-/// live `StreamState` the prefix checkpoint is copied into each tick, the
-/// inference scratch, and the feature buffers. Sessions touch it only
-/// through [`VehicleSession::tick`], one at a time, so sharing is safe
-/// and the per-session footprint stays small.
-#[derive(Debug, Clone)]
-pub struct ShardScratch {
-    pub(crate) live: StreamState,
-    pub(crate) scratch: InferenceScratch,
-    pub(crate) feat: Vec<f64>,
-    pub(crate) normed: Vec<f64>,
-    pub(crate) out: Vec<f64>,
-}
-
-impl ShardScratch {
-    /// Builds a scratch sized for `engine`.
-    pub fn for_engine(engine: &StreamingRegressor) -> Self {
-        let c = engine.config();
-        ShardScratch {
-            live: engine.state(),
-            scratch: engine.scratch(),
-            feat: Vec::with_capacity(c.input_dim),
-            normed: vec![0.0; c.input_dim],
-            out: vec![0.0; c.output_dim],
-        }
-    }
-}
-
 /// What one session tick produced (consumed by shard statistics).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionTick {
@@ -196,8 +172,8 @@ pub struct SessionTick {
 /// Persistent state per session (everything else is shard-shared):
 ///
 /// - a [`StreamHistory`]: the normalized feature ring of `window - 1`
-///   rows plus the checkpointed prefix [`StreamState`] — the same
-///   streaming window the FFC keeps;
+///   rows plus the checkpointed prefix [`pidpiper_ml::StreamState`] — the
+///   same streaming window the FFC keeps;
 /// - four per-axis [`Cusum`] accumulators and their EMA baselines;
 /// - the PR-4 [`SessionSupervisor`] (health monitor, recovery watchdog,
 ///   latched [`HealthState`]);
@@ -289,13 +265,6 @@ impl VehicleSession {
         self.supervisor.recovery_activations()
     }
 
-    /// Bytes this session keeps resident between ticks: the ring and
-    /// prefix state (exactly [`StreamingRegressor::session_state_bytes`])
-    /// plus the struct itself (spec, CUSUMs, supervisor, counters).
-    pub fn resident_bytes(&self, engine: &StreamingRegressor) -> usize {
-        engine.session_state_bytes() + std::mem::size_of::<Self>()
-    }
-
     /// The deterministic synthetic flight: smoothly varying pose and
     /// rates (same shape as the perf bench's synthetic inputs, salted by
     /// the session's phase offsets), with the fault bias applied to the
@@ -332,61 +301,16 @@ impl VehicleSession {
         SensorPrimitives::collect(&est, &pidpiper_sensors::SensorReadings::default())
     }
 
-    /// Advances the session one tick.
-    ///
-    /// Pipeline per tick: synthesize features → normalize → streaming
-    /// prediction (prefix checkpoint + live row, exactly the PR-5 layout)
-    /// → per-axis residual vs the EMA baseline into the CUSUMs →
-    /// supervisor observes (prediction, tripped) → fingerprint mixes the
-    /// tick. Every `decimate` ticks the normalized row is pushed into the
-    /// history ring and the prefix checkpoint is recomputed by replaying
-    /// the ring.
-    ///
-    /// # Errors
-    ///
-    /// Returns a typed [`MissionError`] when the session exceeds its PR-4
-    /// budget (deadline in simulated seconds, or step budget in ticks);
-    /// the shard retires the session into quarantine.
-    pub fn tick(
-        &mut self,
-        engine: &StreamingRegressor,
-        params: &SessionParams,
-        scratch: &mut ShardScratch,
-    ) -> Result<SessionTick, MissionError> {
-        let ShardScratch {
-            live,
-            scratch: inf,
-            feat,
-            normed,
-            out,
-        } = scratch;
-        let pro = self.begin_tick(engine, params, feat, normed)?;
-
-        // Streaming prediction: copy the prefix checkpoint, step the live
-        // row, run the dense head. Dimension errors cannot occur (every
-        // buffer is engine-shaped); on the impossible mismatch the session
-        // holds its previous prediction rather than crashing the shard.
-        let prediction =
-            if pro.normed_ok && self.history.predict(engine, normed, live, inf, out).is_ok() {
-                [out[0], out[1], out[2], out[3]]
-            } else {
-                self.last_prediction
-            };
-        let (tick, deferred) =
-            self.finish_tick(engine, params, prediction, &pro, normed, Some(inf));
-        debug_assert!(!deferred, "inline scratch given, replay cannot defer");
-        Ok(tick)
-    }
-
     /// First phase of a tick: budget checks, synthetic flight, feature
-    /// assembly and normalization into `normed`. Shared verbatim by the
-    /// per-session path ([`VehicleSession::tick`]) and the shard's batched
-    /// path, which runs inference over many sessions between this and
+    /// assembly and normalization into `normed`. The shard's tick loop
+    /// runs inference over a chunk of sessions between this and
     /// [`VehicleSession::finish_tick`].
     ///
     /// # Errors
     ///
-    /// The same typed [`MissionError`] budget violations as `tick`.
+    /// A typed [`MissionError`] when the session exceeds its PR-4 budget
+    /// (deadline in simulated seconds, or step budget in ticks); the
+    /// shard retires the session into quarantine.
     pub(crate) fn begin_tick(
         &mut self,
         engine: &StreamingRegressor,
@@ -435,12 +359,11 @@ impl VehicleSession {
     /// (EMA baseline → CUSUM → strategy trip decision), the supervisor and
     /// the fingerprint, and performs the decimated history-ring push.
     ///
-    /// The prefix-checkpoint replay that follows a ring push runs inline
-    /// when `replay_scratch` is `Some` (the per-session path); with `None`
-    /// the caller batches it instead, and the returned flag is `true` when
-    /// a replay is owed. Deferring is sound because the replay touches
-    /// only the prefix checkpoint, which nothing after the ring push in
-    /// this function reads — the deferred end state is bit-identical.
+    /// The prefix-checkpoint replay that follows a ring push is left to
+    /// the caller, which runs the owed replays of a whole shard together;
+    /// the returned flag is `true` when one is owed. Deferring is sound
+    /// because the replay touches only the prefix checkpoint, which
+    /// nothing after the ring push in this function reads.
     pub(crate) fn finish_tick(
         &mut self,
         engine: &StreamingRegressor,
@@ -448,7 +371,6 @@ impl VehicleSession {
         prediction: [f64; 4],
         pro: &TickPrologue,
         normed: &[f64],
-        replay_scratch: Option<&mut InferenceScratch>,
     ) -> (SessionTick, bool) {
         let TickPrologue {
             t, fault_active, ..
@@ -523,20 +445,14 @@ impl VehicleSession {
         let y = ActuatorSignal::from_array(prediction);
         let health = self.supervisor.observe(&y, tripped);
 
-        // Decimated history-ring push + prefix replay (the PR-5 layout).
+        // Decimated history-ring push (the PR-5 layout); the prefix
+        // replay it owes is the caller's.
         self.ticks_since_push += 1;
-        let mut replay_deferred = false;
-        if self.ticks_since_push >= params.decimate {
+        let replay_owed = self.ticks_since_push >= params.decimate;
+        if replay_owed {
             self.ticks_since_push = 0;
-            // Engine-shaped rows: neither push nor replay can fail; on
-            // the impossible error the checkpoint keeps what it reached.
+            // An engine-shaped row cannot fail to push.
             let _ = self.history.push(engine, normed);
-            match replay_scratch {
-                Some(inf) => {
-                    let _ = self.history.replay(engine, inf);
-                }
-                None => replay_deferred = true,
-            }
         }
 
         // The per-session trace hook: same mixer as `Trace::fingerprint`.
@@ -556,25 +472,24 @@ impl VehicleSession {
                 tripped,
                 fault_active,
             },
-            replay_deferred,
+            replay_owed,
         )
     }
 
-    /// The streaming window (batched path: grouping key, replay rows and
-    /// gather source).
+    /// The streaming window (the shard's inference source and replay
+    /// grouping key).
     pub(crate) fn history(&self) -> &StreamHistory {
         &self.history
     }
 
-    /// Mutable streaming window (batched path: replay and scatter
-    /// target).
+    /// Mutable streaming window (the shard's replay target).
     pub(crate) fn history_mut(&mut self) -> &mut StreamHistory {
         &mut self.history
     }
 
-    /// The previous tick's prediction — the batched path's fallback when
-    /// a lane's row failed to normalize (impossible for engine-shaped
-    /// buffers, mirrored from the per-session path anyway).
+    /// The previous tick's prediction — the shard's fallback when a
+    /// lane's row failed to normalize (impossible for engine-shaped
+    /// buffers).
     pub(crate) fn last_prediction(&self) -> [f64; 4] {
         self.last_prediction
     }
@@ -591,17 +506,37 @@ mod tests {
         LstmRegressor::new(config, 42).compile()
     }
 
+    /// One tick of a lone session through the per-session kernel: the
+    /// shard's prologue, `StreamHistory::predict`, epilogue and the
+    /// replay the epilogue owes.
+    fn tick(
+        s: &mut VehicleSession,
+        eng: &StreamingRegressor,
+        params: &SessionParams,
+    ) -> Result<SessionTick, MissionError> {
+        let mut normed = vec![0.0; eng.config().input_dim];
+        let pro = s.begin_tick(eng, params, &mut Vec::new(), &mut normed)?;
+        assert!(pro.normed_ok);
+        let (mut inf, mut out) = (eng.scratch(), [0.0; 4]);
+        s.history
+            .predict(eng, &normed, &mut eng.state(), &mut inf, &mut out)
+            .expect("engine-shaped");
+        let (r, owed) = s.finish_tick(eng, params, out, &pro, &normed);
+        if owed {
+            s.history.replay(eng, &mut inf).expect("engine-shaped");
+        }
+        Ok(r)
+    }
+
     #[test]
     fn nominal_session_stays_nominal_and_is_deterministic() {
         let eng = engine();
         let params = SessionParams::default();
         let mut a = VehicleSession::new(SessionSpec::new(3, 77), &eng, &params);
         let mut b = VehicleSession::new(SessionSpec::new(3, 77), &eng, &params);
-        let mut sa = ShardScratch::for_engine(&eng);
-        let mut sb = ShardScratch::for_engine(&eng);
         for _ in 0..300 {
-            let ra = a.tick(&eng, &params, &mut sa).expect("in budget");
-            let rb = b.tick(&eng, &params, &mut sb).expect("in budget");
+            let ra = tick(&mut a, &eng, &params).expect("in budget");
+            let rb = tick(&mut b, &eng, &params).expect("in budget");
             assert_eq!(ra, rb);
         }
         assert_eq!(a.fingerprint(), b.fingerprint());
@@ -615,10 +550,9 @@ mod tests {
         let params = SessionParams::default();
         let mut a = VehicleSession::new(SessionSpec::new(0, 1), &eng, &params);
         let mut b = VehicleSession::new(SessionSpec::new(1, 2), &eng, &params);
-        let mut s = ShardScratch::for_engine(&eng);
         for _ in 0..50 {
-            let _ = a.tick(&eng, &params, &mut s).expect("in budget");
-            let _ = b.tick(&eng, &params, &mut s).expect("in budget");
+            let _ = tick(&mut a, &eng, &params).expect("in budget");
+            let _ = tick(&mut b, &eng, &params).expect("in budget");
         }
         assert_ne!(a.fingerprint(), b.fingerprint());
     }
@@ -629,10 +563,9 @@ mod tests {
         let params = SessionParams::default();
         let spec = SessionSpec::new(9, 5).with_fault(FaultSchedule::Continuous { start: 1.0 });
         let mut s = VehicleSession::new(spec, &eng, &params);
-        let mut scratch = ShardScratch::for_engine(&eng);
         let mut tripped_any = false;
         for _ in 0..600 {
-            match s.tick(&eng, &params, &mut scratch) {
+            match tick(&mut s, &eng, &params) {
                 Ok(r) => tripped_any |= r.tripped,
                 Err(e) => panic!("unexpected quarantine: {e}"),
             }
@@ -658,9 +591,8 @@ mod tests {
             };
             let spec = SessionSpec::new(9, 5).with_fault(FaultSchedule::Continuous { start: 1.0 });
             let mut s = VehicleSession::new(spec, &eng, &params);
-            let mut scratch = ShardScratch::for_engine(&eng);
             for _ in 0..600 {
-                s.tick(&eng, &params, &mut scratch).expect("in budget");
+                tick(&mut s, &eng, &params).expect("in budget");
             }
             (s.fingerprint(), s.recovery_activations(), s.health())
         };
@@ -672,10 +604,8 @@ mod tests {
         assert_eq!(fp(StrategyKind::Algorithm1).0, {
             let spec = SessionSpec::new(9, 5).with_fault(FaultSchedule::Continuous { start: 1.0 });
             let mut s = VehicleSession::new(spec, &eng, &default_params);
-            let mut scratch = ShardScratch::for_engine(&eng);
             for _ in 0..600 {
-                s.tick(&eng, &default_params, &mut scratch)
-                    .expect("in budget");
+                tick(&mut s, &eng, &default_params).expect("in budget");
             }
             s.fingerprint()
         });
@@ -692,10 +622,9 @@ mod tests {
         // fault and cleared once the session settles back to nominal.
         let spec = SessionSpec::new(9, 5).with_fault(FaultSchedule::Windows(vec![(1.0, 3.0)]));
         let mut s = VehicleSession::new(spec, &eng, &params);
-        let mut scratch = ShardScratch::for_engine(&eng);
         let mut blamed_during = false;
         for _ in 0..1500 {
-            s.tick(&eng, &params, &mut scratch).expect("in budget");
+            tick(&mut s, &eng, &params).expect("in budget");
             blamed_during |= s.blamed_axis.is_some();
         }
         assert!(blamed_during, "the fault must draw blame onto an axis");
@@ -711,10 +640,9 @@ mod tests {
         let spec =
             SessionSpec::new(1, 1).with_budget(MissionBudget::default().with_step_budget(10));
         let mut s = VehicleSession::new(spec, &eng, &params);
-        let mut scratch = ShardScratch::for_engine(&eng);
         let mut err = None;
         for _ in 0..20 {
-            if let Err(e) = s.tick(&eng, &params, &mut scratch) {
+            if let Err(e) = tick(&mut s, &eng, &params) {
                 err = Some(e);
                 break;
             }
@@ -731,7 +659,7 @@ mod tests {
         let mut s = VehicleSession::new(spec, &eng, &params);
         let mut err = None;
         for _ in 0..20 {
-            if let Err(e) = s.tick(&eng, &params, &mut scratch) {
+            if let Err(e) = tick(&mut s, &eng, &params) {
                 err = Some(e);
                 break;
             }
@@ -754,18 +682,5 @@ mod tests {
         assert_eq!(a.target.position, spec.plan.destination());
         // Deterministic: same id, same mission, same spec.
         assert_eq!(a, SessionSpec::from_mission(0, &spec));
-    }
-
-    #[test]
-    fn resident_bytes_accounts_ring_and_state() {
-        let eng = engine();
-        let params = SessionParams::default();
-        let s = VehicleSession::new(SessionSpec::new(0, 0), &eng, &params);
-        let b = s.resident_bytes(&eng);
-        assert!(b >= eng.session_state_bytes());
-        // Standard config: 4*24*8 state + 19*24*8 ring = 4416 bytes + struct.
-        // The ~5 KB/session budget also covers the amortized share of the
-        // shard-level batch scratch (see engine::bytes_per_session tests).
-        assert!(b < 5 * 1024, "session must stay compact, got {b} bytes");
     }
 }

@@ -2,8 +2,8 @@
 //!
 //! Every session is pinned to shard `id % shard_count` for life. A shard
 //! owns its sessions, its pending-admission queue, its quarantine list
-//! and one heavy [`ShardScratch`]; a fleet tick gives each worker a fixed
-//! contiguous range of shards and no work ever migrates. Determinism
+//! and one working set (`BatchState`); a fleet tick gives each worker a
+//! fixed contiguous range of shards and no work ever migrates. Determinism
 //! falls out: the sessions of a shard tick in admission order, shards
 //! never share mutable state, so the fleet's per-session results are
 //! bit-identical for *any* worker count — the serial/parallel equivalence
@@ -12,62 +12,184 @@
 use std::collections::VecDeque;
 
 use pidpiper_missions::{HealthState, MissionError};
-use pidpiper_ml::{BatchScratch, BatchedStreamingRegressor, StreamingRegressor};
+use pidpiper_ml::{
+    BatchScratch, BatchedStreamingRegressor, InferenceScratch, StreamState, StreamingRegressor,
+};
 
-use crate::session::{SessionParams, SessionSpec, ShardScratch, TickPrologue, VehicleSession};
+use crate::engine::FleetBatch;
+use crate::session::{SessionParams, SessionSpec, TickPrologue, VehicleSession};
 
-/// Lane capacity of the per-shard batched working set: sessions tick
-/// through the batched kernels in chunks of this many lanes. 64 lanes
-/// keep the f64 panels (~140 KB at the standard config) inside L2 while
-/// amortizing each weight load across 8x more sessions than the GEMM
-/// lane width alone.
+/// Lane capacity of the per-shard working set: sessions tick in chunks of
+/// this many lanes. 64 lanes keep the f64 panels (~140 KB at the standard
+/// config) inside L2 while amortizing each weight load across 8x more
+/// sessions than the GEMM lane width alone.
 pub(crate) const BATCH_WIDTH: usize = 64;
 
-/// Per-shard working set of the batched tick path: the struct-of-arrays
-/// panels plus staging and bookkeeping buffers, allocated once and reused
-/// every tick. Shard-resident (one per shard, like [`ShardScratch`]), so
-/// its footprint is amortized over the shard's resident sessions — see
+/// Per-shard working set of the tick loop: the struct-of-arrays panels,
+/// the per-session kernel's state and scratch, and the staging and
+/// bookkeeping buffers, allocated once and reused every tick in either
+/// [`FleetBatch`] mode. Shard-resident, so its footprint is amortized
+/// over the shard's resident sessions — see
 /// `FleetEngine::bytes_per_session`.
 #[derive(Debug)]
 pub(crate) struct BatchState {
     scratch: BatchScratch,
     /// Live normalized rows staged per lane (`input_dim * BATCH_WIDTH`);
-    /// kept out of the panels so the replay phase can reuse them after
-    /// the ring push.
+    /// kept out of the panels so the epilogue can push them into the
+    /// history ring after inference.
     normed: Vec<f64>,
-    /// Session indices that completed their prologue this chunk.
-    lanes: Vec<usize>,
-    /// Their prologues, parallel to `lanes`.
-    pros: Vec<TickPrologue>,
+    /// One raw feature row, assembled by each session's prologue.
+    feat: Vec<f64>,
+    /// Live state of the per-session kernel (prefix plus present row).
+    live: StreamState,
+    /// Scratch of the per-session kernel and of singleton replays.
+    inf: InferenceScratch,
+    /// Session index and prologue of each lane this chunk.
+    lanes: Vec<(usize, TickPrologue)>,
+    /// Each lane's prediction, parallel to `lanes`.
+    preds: Vec<[f64; 4]>,
     /// `(session index, error)` pairs retired once the tick completes —
-    /// deferred so batched lane numbering stays stable mid-tick.
+    /// deferred so lane numbering stays stable mid-tick.
     errored: Vec<(usize, MissionError)>,
     /// Sessions owing a prefix replay this tick (decimation boundary).
     replay: Vec<usize>,
 }
 
 impl BatchState {
-    fn new(batched: &BatchedStreamingRegressor) -> Self {
-        let dim = batched.engine().config().input_dim;
+    fn new(model: &BatchedStreamingRegressor) -> Self {
+        let engine = model.engine();
+        let dim = engine.config().input_dim;
         BatchState {
-            scratch: batched.scratch(BATCH_WIDTH),
+            scratch: model.scratch(BATCH_WIDTH),
             normed: vec![0.0; dim * BATCH_WIDTH],
+            feat: Vec::with_capacity(dim),
+            live: engine.state(),
+            inf: engine.scratch(),
             lanes: Vec::with_capacity(BATCH_WIDTH),
-            pros: Vec::with_capacity(BATCH_WIDTH),
+            preds: Vec::with_capacity(BATCH_WIDTH),
             errored: Vec::with_capacity(BATCH_WIDTH),
             replay: Vec::with_capacity(BATCH_WIDTH),
         }
     }
 
-    /// Heap bytes of the whole batched working set (panels + staging +
-    /// bookkeeping), for capacity-planning amortization.
+    /// Heap bytes of the working set (panels, staging rows, live state
+    /// and bookkeeping), for capacity-planning amortization. The
+    /// single-session [`InferenceScratch`] (under 2 KB at the standard
+    /// config) is not counted.
     pub(crate) fn resident_bytes(&self) -> usize {
+        use std::mem::size_of;
         self.scratch.resident_bytes()
-            + self.normed.capacity() * std::mem::size_of::<f64>()
-            + self.lanes.capacity() * std::mem::size_of::<usize>()
-            + self.pros.capacity() * std::mem::size_of::<TickPrologue>()
-            + self.errored.capacity() * std::mem::size_of::<(usize, MissionError)>()
-            + self.replay.capacity() * std::mem::size_of::<usize>()
+            + (self.normed.capacity() + self.feat.capacity()) * size_of::<f64>()
+            + self.live.resident_bytes()
+            + self.lanes.capacity() * size_of::<(usize, TickPrologue)>()
+            + self.preds.capacity() * size_of::<[f64; 4]>()
+            + self.errored.capacity() * size_of::<(usize, MissionError)>()
+            + self.replay.capacity() * size_of::<usize>()
+    }
+
+    /// Fills `preds` for this chunk's lanes with the kernel `batch`
+    /// selects. A lane whose row failed to normalize (impossible for
+    /// engine-shaped buffers) holds its session's previous prediction.
+    fn infer(
+        &mut self,
+        sessions: &[VehicleSession],
+        model: &BatchedStreamingRegressor,
+        batch: FleetBatch,
+    ) {
+        let engine = model.engine();
+        let dim = engine.config().input_dim;
+        let n = self.lanes.len();
+        let mut out = [0.0f64; 4];
+        self.preds.clear();
+        match batch {
+            FleetBatch::Batched => {
+                for (lane, &(i, _)) in self.lanes.iter().enumerate() {
+                    let row = &self.normed[lane * dim..(lane + 1) * dim];
+                    self.scratch
+                        .load_state(lane, sessions[i].history().prefix());
+                    self.scratch.load_row(lane, row);
+                }
+                model.step_batch(&mut self.scratch, n);
+                model.finish_batch(&mut self.scratch, n);
+                for (lane, (i, pro)) in self.lanes.iter().enumerate() {
+                    self.preds.push(if pro.normed_ok {
+                        self.scratch.read_output(lane, &mut out);
+                        out
+                    } else {
+                        sessions[*i].last_prediction()
+                    });
+                }
+            }
+            FleetBatch::PerSession => {
+                for (lane, (i, pro)) in self.lanes.iter().enumerate() {
+                    let row = &self.normed[lane * dim..(lane + 1) * dim];
+                    let ok = pro.normed_ok
+                        && sessions[*i]
+                            .history()
+                            .predict(engine, row, &mut self.live, &mut self.inf, &mut out)
+                            .is_ok();
+                    self.preds.push(if ok {
+                        out
+                    } else {
+                        sessions[*i].last_prediction()
+                    });
+                }
+            }
+        }
+    }
+
+    /// Runs the owed prefix replays with the kernel `batch` selects.
+    ///
+    /// Replays are grouped by history row count (lanes in one replay
+    /// batch must step the same number of rows — sessions mid-warmup or
+    /// on a different decimation phase simply land in different groups
+    /// or different ticks) and run through the batched kernels; groups of
+    /// one, and every group under [`FleetBatch::PerSession`], use
+    /// [`pidpiper_ml::StreamHistory::replay`]. Engine-shaped rows cannot
+    /// fail to step.
+    fn replay(
+        &mut self,
+        sessions: &mut [VehicleSession],
+        model: &BatchedStreamingRegressor,
+        batch: FleetBatch,
+    ) {
+        let engine = model.engine();
+        // The sort key is (rows, index): deterministic, and sessions keep
+        // their relative order inside a group.
+        self.replay
+            .sort_unstable_by_key(|&i| (sessions[i].history().rows(), i));
+        let mut rest = self.replay.as_slice();
+        while let Some(&first) = rest.first() {
+            let rows = sessions[first].history().rows();
+            let len = match batch {
+                FleetBatch::Batched => rest
+                    .iter()
+                    .take_while(|&&i| sessions[i].history().rows() == rows)
+                    .count(),
+                FleetBatch::PerSession => 1,
+            };
+            let (group, tail) = rest.split_at(len);
+            rest = tail;
+            if let [i] = *group {
+                let _ = sessions[i].history_mut().replay(engine, &mut self.inf);
+                continue;
+            }
+            for lanes in group.chunks(BATCH_WIDTH) {
+                let n = lanes.len();
+                self.scratch.reset_states();
+                for t in 0..rows {
+                    for (lane, &i) in lanes.iter().enumerate() {
+                        let row = sessions[i].history().row(engine, t);
+                        self.scratch.load_row(lane, row);
+                    }
+                    model.step_batch(&mut self.scratch, n);
+                }
+                for (lane, &i) in lanes.iter().enumerate() {
+                    let prefix = sessions[i].history_mut().prefix_mut();
+                    self.scratch.store_state(lane, prefix);
+                }
+            }
+        }
     }
 }
 
@@ -172,7 +294,7 @@ impl ShardTickStats {
     }
 }
 
-/// One shard: resident sessions, pending queue, quarantine, scratch.
+/// One shard: resident sessions, pending queue, quarantine, working set.
 #[derive(Debug)]
 pub(crate) struct Shard {
     index: usize,
@@ -186,9 +308,7 @@ pub(crate) struct Shard {
     sessions: Vec<VehicleSession>,
     pending: VecDeque<SessionSpec>,
     retired: Vec<RetiredSession>,
-    scratch: ShardScratch,
-    /// Batched-path working set; `None` under `FleetBatch::PerSession`.
-    batch: Option<BatchState>,
+    work: BatchState,
 }
 
 impl Shard {
@@ -198,8 +318,7 @@ impl Shard {
         pending_capacity: usize,
         cost_budget: u64,
         session_cost: u64,
-        engine: &StreamingRegressor,
-        batched: Option<&BatchedStreamingRegressor>,
+        model: &BatchedStreamingRegressor,
     ) -> Self {
         Shard {
             index,
@@ -210,14 +329,13 @@ impl Shard {
             sessions: Vec::new(),
             pending: VecDeque::new(),
             retired: Vec::new(),
-            scratch: ShardScratch::for_engine(engine),
-            batch: batched.map(BatchState::new),
+            work: BatchState::new(model),
         }
     }
 
-    /// Heap bytes of the batched working set (0 under per-session mode).
+    /// Heap bytes of the shard's working set.
     pub(crate) fn batch_bytes(&self) -> usize {
-        self.batch.as_ref().map_or(0, BatchState::resident_bytes)
+        self.work.resident_bytes()
     }
 
     /// Whether one more resident session fits the resident cap and the
@@ -257,17 +375,36 @@ impl Shard {
     /// (FIFO), then ticks every resident session in admission order,
     /// retiring budget violators into quarantine.
     ///
-    /// With `batched` supplied (and a batch working set built for it),
-    /// sessions tick through the batched kernels — bit-identical results,
-    /// one matrix–matrix sweep per [`BATCH_WIDTH`] lanes instead of one
-    /// matrix–vector sweep per session. `None` is the per-session (PR-5)
-    /// path, byte for byte the pre-batching loop.
+    /// One loop serves both [`FleetBatch`] modes. Per chunk of
+    /// [`BATCH_WIDTH`] sessions:
+    ///
+    /// 1. **prologue** — each session's budget check, synthetic flight
+    ///    and normalization ([`VehicleSession::begin_tick`]) into its
+    ///    lane's staged row. Budget violators are set aside (lane
+    ///    numbering stays stable) and retired after the loop, in
+    ///    ascending index order.
+    /// 2. **inference** — the kernel `batch` selects:
+    ///    [`FleetBatch::Batched`] gathers every lane's prefix checkpoint
+    ///    and row into the panels for one `step_batch` + `finish_batch`;
+    ///    [`FleetBatch::PerSession`] runs each lane's
+    ///    [`pidpiper_ml::StreamHistory::predict`], the
+    ///    `StreamingRegressor` reference.
+    /// 3. **epilogue** — each lane's prediction feeds
+    ///    [`VehicleSession::finish_tick`] (monitor, supervisor,
+    ///    fingerprint, decimated ring push), which reports whether a
+    ///    prefix replay is owed.
+    ///
+    /// The owed replays run after the last chunk, again with the kernel
+    /// `batch` selects. Every f64 op matches between the modes, so
+    /// fingerprints are bit-identical — the fleet bench gates this
+    /// (`batch_invariant`).
     pub(crate) fn tick(
         &mut self,
-        engine: &StreamingRegressor,
+        model: &BatchedStreamingRegressor,
         params: &SessionParams,
-        batched: Option<&BatchedStreamingRegressor>,
+        batch: FleetBatch,
     ) -> ShardTickStats {
+        let engine = model.engine();
         let mut stats = ShardTickStats::default();
         while self.has_room() {
             match self.pending.pop_front() {
@@ -279,127 +416,27 @@ impl Shard {
                 None => break,
             }
         }
-        match batched {
-            Some(b) if self.batch.is_some() => self.tick_batched(engine, b, params, &mut stats),
-            _ => self.tick_per_session(engine, params, &mut stats),
-        }
-        stats
-    }
 
-    /// The per-session tick loop (PR-5 streaming path, unchanged).
-    fn tick_per_session(
-        &mut self,
-        engine: &StreamingRegressor,
-        params: &SessionParams,
-        stats: &mut ShardTickStats,
-    ) {
-        let mut i = 0;
-        while i < self.sessions.len() {
-            match self.sessions[i].tick(engine, params, &mut self.scratch) {
-                Ok(r) => {
-                    stats.session_ticks += 1;
-                    stats.tripped += u64::from(r.tripped);
-                    stats.faulted += u64::from(r.fault_active);
-                    match r.health {
-                        HealthState::Recovery => stats.in_recovery += 1,
-                        HealthState::Degraded => stats.degraded += 1,
-                        HealthState::Nominal => {}
-                    }
-                    i += 1;
-                }
-                Err(error) => {
-                    let s = self.sessions.remove(i);
-                    self.retired.push(RetiredSession {
-                        id: s.id(),
-                        ticks: s.ticks(),
-                        fingerprint: s.fingerprint(),
-                        error,
-                    });
-                    stats.retired += 1;
-                }
-            }
-        }
-    }
-
-    /// The batched tick loop. Per chunk of [`BATCH_WIDTH`] sessions (in
-    /// admission order; every resident session shares the shard's model):
-    ///
-    /// 1. **prologue/gather** — each session's budget check, synthetic
-    ///    flight and normalization ([`VehicleSession::begin_tick`]); its
-    ///    prefix checkpoint and live row are gathered into a panel lane.
-    ///    Budget violators are set aside (lane numbering stays stable)
-    ///    and retired after the loop, in the same ascending-index order
-    ///    as the per-session path.
-    /// 2. **batched inference** — one `step_batch` + `finish_batch` over
-    ///    the active lanes replaces the chunk's matrix–vector passes.
-    /// 3. **epilogue/scatter** — each lane's prediction feeds
-    ///    [`VehicleSession::finish_tick`] (monitor, supervisor,
-    ///    fingerprint, decimated ring push) with the prefix replay
-    ///    *deferred*.
-    ///
-    /// Deferred replays are then grouped by history row count (lanes in one
-    /// replay batch must step the same number of rows — sessions
-    /// mid-warmup or on a different decimation phase simply land in
-    /// different groups or different ticks) and replayed through the
-    /// batched kernels; groups of one fall back to the per-session
-    /// [`pidpiper_ml::StreamHistory::replay`]. Every f64 op matches the
-    /// per-session path, so fingerprints are bit-identical — the fleet
-    /// bench gates this (`batch_invariant`).
-    fn tick_batched(
-        &mut self,
-        engine: &StreamingRegressor,
-        batched: &BatchedStreamingRegressor,
-        params: &SessionParams,
-        stats: &mut ShardTickStats,
-    ) {
-        let state = self
-            .batch
-            .as_mut()
-            .expect("tick_batched without batch state");
-        let sessions = &mut self.sessions;
-        let shard_scratch = &mut self.scratch;
+        let (sessions, work) = (&mut self.sessions, &mut self.work);
         let dim = engine.config().input_dim;
-        state.errored.clear();
-        state.replay.clear();
-
-        let total = sessions.len();
-        let mut start = 0;
-        while start < total {
-            let end = (start + BATCH_WIDTH).min(total);
-            state.lanes.clear();
-            state.pros.clear();
-            for (off, session) in sessions[start..end].iter_mut().enumerate() {
-                let i = start + off;
-                let lane = state.lanes.len();
-                let row = &mut state.normed[lane * dim..(lane + 1) * dim];
-                match session.begin_tick(engine, params, &mut shard_scratch.feat, row) {
-                    Ok(pro) => {
-                        if pro.normed_ok {
-                            state.scratch.load_state(lane, session.history().prefix());
-                            state.scratch.load_row(lane, row);
-                        }
-                        state.lanes.push(i);
-                        state.pros.push(pro);
-                    }
-                    Err(error) => state.errored.push((i, error)),
+        work.errored.clear();
+        work.replay.clear();
+        for start in (0..sessions.len()).step_by(BATCH_WIDTH) {
+            let end = (start + BATCH_WIDTH).min(sessions.len());
+            work.lanes.clear();
+            for (i, session) in (start..end).zip(&mut sessions[start..end]) {
+                let lane = work.lanes.len();
+                let row = &mut work.normed[lane * dim..(lane + 1) * dim];
+                match session.begin_tick(engine, params, &mut work.feat, row) {
+                    Ok(pro) => work.lanes.push((i, pro)),
+                    Err(error) => work.errored.push((i, error)),
                 }
             }
-            let n = state.lanes.len();
-            if n > 0 {
-                batched.step_batch(&mut state.scratch, n);
-                batched.finish_batch(&mut state.scratch, n);
-            }
-            let mut pred = [0.0f64; 4];
-            for (lane, (&i, pro)) in state.lanes.iter().zip(&state.pros).enumerate() {
-                let prediction = if pro.normed_ok {
-                    state.scratch.read_output(lane, &mut pred);
-                    pred
-                } else {
-                    sessions[i].last_prediction()
-                };
-                let row = &state.normed[lane * dim..(lane + 1) * dim];
-                let (r, deferred) =
-                    sessions[i].finish_tick(engine, params, prediction, pro, row, None);
+            work.infer(sessions, model, batch);
+            let lanes = work.lanes.iter().zip(&work.preds);
+            for (lane, (&(i, pro), &prediction)) in lanes.enumerate() {
+                let row = &work.normed[lane * dim..(lane + 1) * dim];
+                let (r, owed) = sessions[i].finish_tick(engine, params, prediction, &pro, row);
                 stats.session_ticks += 1;
                 stats.tripped += u64::from(r.tripped);
                 stats.faulted += u64::from(r.fault_active);
@@ -408,57 +445,17 @@ impl Shard {
                     HealthState::Degraded => stats.degraded += 1,
                     HealthState::Nominal => {}
                 }
-                if deferred {
-                    state.replay.push(i);
-                }
-            }
-            start = end;
-        }
-
-        // Batched prefix replay, grouped by history row count. The sort
-        // key is (rows, index): deterministic, and sessions keep their
-        // relative order inside a group.
-        state
-            .replay
-            .sort_unstable_by_key(|&i| (sessions[i].history().rows(), i));
-        let mut rest = state.replay.as_slice();
-        while let Some(&first) = rest.first() {
-            let rows = sessions[first].history().rows();
-            let len = rest
-                .iter()
-                .take_while(|&&i| sessions[i].history().rows() == rows)
-                .count();
-            let (group, tail) = rest.split_at(len);
-            rest = tail;
-            if let [i] = *group {
-                // Ragged remainder: the per-session fallback. Engine-shaped
-                // rows cannot fail to step.
-                let _ = sessions[i]
-                    .history_mut()
-                    .replay(engine, &mut shard_scratch.scratch);
-                continue;
-            }
-            for lanes in group.chunks(BATCH_WIDTH) {
-                let n = lanes.len();
-                state.scratch.reset_states();
-                for t in 0..rows {
-                    for (lane, &i) in lanes.iter().enumerate() {
-                        let row = sessions[i].history().row(engine, t);
-                        state.scratch.load_row(lane, row);
-                    }
-                    batched.step_batch(&mut state.scratch, n);
-                }
-                for (lane, &i) in lanes.iter().enumerate() {
-                    let prefix = sessions[i].history_mut().prefix_mut();
-                    state.scratch.store_state(lane, prefix);
+                if owed {
+                    work.replay.push(i);
                 }
             }
         }
+        work.replay(sessions, model, batch);
 
-        // Retire budget violators: records in ascending index order (the
-        // per-session path's order), removals in descending order so the
-        // collected indices stay valid.
-        for (i, error) in &state.errored {
+        // Retire budget violators: records in ascending index order,
+        // removals in descending order so the collected indices stay
+        // valid.
+        for (i, error) in &work.errored {
             let s = &sessions[*i];
             self.retired.push(RetiredSession {
                 id: s.id(),
@@ -468,9 +465,10 @@ impl Shard {
             });
             stats.retired += 1;
         }
-        for (i, _) in state.errored.iter().rev() {
+        for (i, _) in work.errored.iter().rev() {
             sessions.remove(*i);
         }
+        stats
     }
 
     pub(crate) fn resident(&self) -> usize {

@@ -80,11 +80,6 @@ pub struct BatchScratch {
 }
 
 impl BatchScratch {
-    /// The lane capacity this scratch was allocated for.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
     /// Heap bytes held by this scratch (all panels).
     pub fn resident_bytes(&self) -> usize {
         (self.x.len()
@@ -201,120 +196,6 @@ impl BatchScratch {
             *o = self.out[r * self.width + lane];
         }
     }
-
-    /// Bulk gather: loads `states[i]` into lane `i` for every state, in
-    /// row-major panel order. Equivalent to calling
-    /// [`BatchScratch::load_state`] per lane, but sweeps each panel row
-    /// with sequential writes — at wide batches the per-lane form writes
-    /// one value every `width * 8` bytes and pays a cache-line fill per
-    /// store, which is the dominant cost of a monolithic wide gather.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states.len() > width` or any state belongs to a
-    /// differently-sized engine.
-    pub fn load_states(&mut self, states: &[StreamState]) {
-        let n = states.len();
-        let w = self.width;
-        assert!(n <= w, "{n} states exceed width {w}");
-        for s in states {
-            assert_eq!(s.h1.len() * w, self.h1.len(), "state dimension mismatch");
-        }
-        let rows = if n == 0 { 0 } else { states[0].h1.len() };
-        for j in 0..rows {
-            let (h1, c1) = (
-                &mut self.h1[j * w..j * w + n],
-                &mut self.c1[j * w..j * w + n],
-            );
-            for (lane, s) in states.iter().enumerate() {
-                h1[lane] = s.h1[j];
-                c1[lane] = s.c1[j];
-            }
-            let (h2, c2) = (
-                &mut self.h2[j * w..j * w + n],
-                &mut self.c2[j * w..j * w + n],
-            );
-            for (lane, s) in states.iter().enumerate() {
-                h2[lane] = s.h2[j];
-                c2[lane] = s.c2[j];
-            }
-        }
-    }
-
-    /// Bulk scatter: the inverse of [`BatchScratch::load_states`] —
-    /// writes lane `i`'s state columns back into `states[i]` with
-    /// sequential panel-row reads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states.len() > width` or any state belongs to a
-    /// differently-sized engine.
-    pub fn store_states(&self, states: &mut [StreamState]) {
-        let n = states.len();
-        let w = self.width;
-        assert!(n <= w, "{n} states exceed width {w}");
-        for s in states.iter() {
-            assert_eq!(s.h1.len() * w, self.h1.len(), "state dimension mismatch");
-        }
-        let rows = if n == 0 { 0 } else { states[0].h1.len() };
-        for j in 0..rows {
-            let (h1, c1) = (&self.h1[j * w..j * w + n], &self.c1[j * w..j * w + n]);
-            for (lane, s) in states.iter_mut().enumerate() {
-                s.h1[j] = h1[lane];
-                s.c1[j] = c1[lane];
-            }
-            let (h2, c2) = (&self.h2[j * w..j * w + n], &self.c2[j * w..j * w + n]);
-            for (lane, s) in states.iter_mut().enumerate() {
-                s.h2[j] = h2[lane];
-                s.c2[j] = c2[lane];
-            }
-        }
-    }
-
-    /// Bulk row gather: loads `rows[i]` (already normalized) into lane
-    /// `i` of the input panel, sweeping the panel row-major like
-    /// [`BatchScratch::load_states`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rows.len() > width` or any row has the wrong dimension.
-    pub fn load_rows(&mut self, rows: &[&[f64]]) {
-        let n = rows.len();
-        let w = self.width;
-        assert!(n <= w, "{n} rows exceed width {w}");
-        for r in rows {
-            assert_eq!(r.len() * w, self.x.len(), "row dimension mismatch");
-        }
-        let dim = if n == 0 { 0 } else { rows[0].len() };
-        for j in 0..dim {
-            let xr = &mut self.x[j * w..j * w + n];
-            for (lane, r) in rows.iter().enumerate() {
-                xr[lane] = r[j];
-            }
-        }
-    }
-
-    /// Bulk output scatter: copies every active lane's de-normalized
-    /// prediction into `out` (lane-major, `n * output_dim`), sweeping the
-    /// output panel row-major.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out.len()` is not a multiple of the output dimension or
-    /// implies more lanes than `width`.
-    pub fn read_outputs(&self, out: &mut [f64]) {
-        let w = self.width;
-        let odim = self.out.len() / w;
-        assert_eq!(out.len() % odim, 0, "out length not a lane multiple");
-        let n = out.len() / odim;
-        assert!(n <= w, "{n} lanes exceed width {w}");
-        for j in 0..odim {
-            let row = &self.out[j * w..j * w + n];
-            for (lane, chunk) in out.chunks_exact_mut(odim).enumerate() {
-                chunk[j] = row[lane];
-            }
-        }
-    }
 }
 
 /// The batched deployment form of a compiled [`StreamingRegressor`].
@@ -388,7 +269,7 @@ impl BatchedStreamingRegressor {
     ///
     /// # Panics
     ///
-    /// Panics if `n > scratch.width()`.
+    /// Panics if `n` exceeds the scratch's lane capacity.
     pub fn step_batch(&self, scratch: &mut BatchScratch, n: usize) {
         assert!(
             n <= scratch.width,
@@ -434,7 +315,7 @@ impl BatchedStreamingRegressor {
     ///
     /// # Panics
     ///
-    /// Panics if `n > scratch.width()`.
+    /// Panics if `n` exceeds the scratch's lane capacity.
     pub fn finish_batch(&self, scratch: &mut BatchScratch, n: usize) {
         assert!(
             n <= scratch.width,
@@ -498,7 +379,7 @@ impl BatchedStreamingRegressor {
     ///
     /// # Panics
     ///
-    /// Panics if `windows.len() > scratch.width()`.
+    /// Panics if there are more windows than the scratch has lanes.
     pub fn predict_windows_into(
         &self,
         windows: &[Vec<Vec<f64>>],
@@ -686,65 +567,5 @@ mod tests {
         let mut back = e.state();
         scratch.store_state(2, &mut back);
         assert_eq!(back, state);
-    }
-
-    #[test]
-    fn bulk_gather_scatter_matches_per_lane_apis() {
-        let e = engine();
-        let b = BatchedStreamingRegressor::compile(&e);
-        let mut solo = e.scratch();
-        let mut normed = vec![0.0; 2];
-        // Distinct per-lane states and rows.
-        let states: Vec<StreamState> = (0..3)
-            .map(|i| {
-                let mut s = e.state();
-                for t in 0..=i {
-                    e.normalize_into(&[0.3 * t as f64, -0.1 * i as f64], &mut normed)
-                        .expect("dims");
-                    e.step_normed(&normed, &mut s, &mut solo).expect("dims");
-                }
-                s
-            })
-            .collect();
-        let rows: Vec<Vec<f64>> = (0..3)
-            .map(|i| vec![0.2 * i as f64, 0.7 - i as f64])
-            .collect();
-        let row_refs: Vec<&[f64]> = rows.iter().map(Vec::as_slice).collect();
-
-        let mut bulk = b.scratch(8);
-        bulk.load_states(&states);
-        bulk.load_rows(&row_refs);
-        let mut per_lane = b.scratch(8);
-        for (lane, s) in states.iter().enumerate() {
-            per_lane.load_state(lane, s);
-            per_lane.load_row(lane, &rows[lane]);
-        }
-        b.step_batch(&mut bulk, 3);
-        b.finish_batch(&mut bulk, 3);
-        b.step_batch(&mut per_lane, 3);
-        b.finish_batch(&mut per_lane, 3);
-
-        let mut bulk_out = vec![0.0; 3];
-        bulk.read_outputs(&mut bulk_out);
-        let mut want = [0.0];
-        let mut got_states: Vec<StreamState> = (0..3).map(|_| e.state()).collect();
-        bulk.store_states(&mut got_states);
-        for lane in 0..3 {
-            per_lane.read_output(lane, &mut want);
-            assert_eq!(
-                bulk_out[lane].to_bits(),
-                want[0].to_bits(),
-                "output lane {lane}"
-            );
-            let mut s = e.state();
-            per_lane.store_state(lane, &mut s);
-            assert_eq!(got_states[lane], s, "state lane {lane}");
-        }
-        // The bulk forms also round-trip: scatter back what was gathered.
-        let mut round = b.scratch(8);
-        round.load_states(&got_states);
-        let mut back: Vec<StreamState> = (0..3).map(|_| e.state()).collect();
-        round.store_states(&mut back);
-        assert_eq!(back, got_states);
     }
 }

@@ -426,19 +426,6 @@ impl InferenceScratch {
             z: vec![0.0; config.output_dim],
         }
     }
-
-    /// Heap bytes held by this scratch (all working buffers plus its
-    /// embedded window-start state). A scratch is engine-shaped and shared
-    /// across sessions, so this is *per worker*, not per session.
-    pub fn resident_bytes(&self) -> usize {
-        self.state.resident_bytes()
-            + (self.normed.len()
-                + self.pre.len()
-                + self.fc_a.len()
-                + self.fc_b.len()
-                + self.z.len())
-                * std::mem::size_of::<f64>()
-    }
 }
 
 /// The compiled, allocation-free deployment form of an [`LstmRegressor`].
@@ -824,11 +811,6 @@ mod tests {
         let expected_ring = (c.window - 1) * c.input_dim * 8;
         assert_eq!(engine.session_state_bytes(), expected_state + expected_ring);
         assert_eq!(engine.state().resident_bytes(), expected_state);
-        let scratch = engine.scratch();
-        assert_eq!(
-            scratch.resident_bytes(),
-            expected_state + (c.input_dim + 4 * c.hidden + 2 * c.fc_width + c.output_dim) * 8
-        );
     }
 
     #[test]
